@@ -44,8 +44,8 @@ from .errors import (
     NotGreaterError,
     ZeroMagnitudeError,
 )
-from .intervals import Interval, exact_sqrt, sqrt_down, sqrt_interval, sqrt_up
-from .kinds import KindId, KindOps, Magnitude, Comparison, register_kind
+from .intervals import Interval, Rat, exact_sqrt, sqrt_down, sqrt_interval, sqrt_up
+from .kinds import KindId, KindOps, Magnitude, Comparison, register_kind, total_order
 
 Point = tuple[Fraction, Fraction]
 IntVec = tuple[int, int]
@@ -209,16 +209,11 @@ def _value_compare(a: AngleValue, b: AngleValue) -> Comparison:
     if a == b:
         return Comparison.EQUAL
     if a.half_turns != b.half_turns:
-        return Comparison.LESS if a.half_turns < b.half_turns else Comparison.GREATER
+        return total_order(a.half_turns, b.half_turns)
     if a.residual is None or b.residual is None:
         return Comparison.LESS if a.residual is None else Comparison.GREATER
-    ka, kb = _residual_cos_rank(a.residual), _residual_cos_rank(b.residual)
     # larger cos means smaller angle
-    if ka > kb:
-        return Comparison.LESS
-    if ka < kb:
-        return Comparison.GREATER
-    return Comparison.EQUAL
+    return total_order(_residual_cos_rank(b.residual), _residual_cos_rank(a.residual))
 
 
 def _value_sub(a: AngleValue, b: AngleValue) -> AngleValue:
@@ -257,16 +252,24 @@ def _cos_interval_of_dir(r: IntVec, den: int) -> Interval:
     return Interval(-hi, -lo)
 
 
-def _value_enclosure(a: AngleValue) -> RealEnclosure:
+def _turn_enclosure(
+    pi_multiple: Rat, direction: Optional[IntVec], bounds, r: Rat = 1, *, name: str
+) -> RealEnclosure:
+    """pi_multiple * pi plus the chord/tangent ``bounds`` of a direction on radius r.
+
+    ``bounds`` is arc_length_bounds (a half-turn of arc is pi*r) or
+    sector_area_bounds (a half-turn of sector is pi*r^2/2); a missing
+    direction (whole turns only) contributes nothing.
+    """
+
     def refine(depth: int) -> Interval:
-        total = pi_interval(depth).scale(a.half_turns)
-        if a.residual is not None:
-            den = precision_denominator(depth)
-            cos0 = _cos_interval_of_dir(a.residual, den)
-            total = total + arc_length_bounds(cos0, 1, depth)
+        total = pi_interval(depth).scale(pi_multiple)
+        if direction is not None:
+            cos0 = _cos_interval_of_dir(direction, precision_denominator(depth))
+            total = total + bounds(cos0, r, depth)
         return total
 
-    return RealEnclosure(refine, name="angle")
+    return RealEnclosure(refine, name=name)
 
 
 class _AnglesOps(KindOps):
@@ -301,7 +304,7 @@ class _AnglesOps(KindOps):
         return _value_sub(a, b)
 
     def enclosure(self, a):
-        return _value_enclosure(a)
+        return _turn_enclosure(a.half_turns, a.residual, arc_length_bounds, name="angle")
 
     def exact(self, a):
         return None
@@ -338,53 +341,17 @@ class AngleMeasure:
         return self.value.at(depth)
 
 
-def _require_arms(a: Angle) -> IntVec:
-    direction = a.direction()
-    if direction is None and a.windings == 0:
-        raise CollinearError("angle has no triple part")
-    return direction
-
-
 def measure_m(a: Angle, depth: Optional[int] = None) -> AngleMeasure:
     """Arc-length-to-radius enclosure (unit d); radius cancels exactly."""
-    direction = a.direction()
-
-    def refine(d: int) -> Interval:
-        total = pi_interval(d).scale(2 * a.windings)
-        if direction is not None:
-            den = precision_denominator(d)
-            total = total + arc_length_bounds(_cos_interval_of_dir(direction, den), 1, d)
-        return total
-
-    enc = RealEnclosure(refine, name="m")
+    enc = _turn_enclosure(2 * a.windings, a.direction(), arc_length_bounds, name="m")
     if depth is not None:
         enc.at(depth)
     return AngleMeasure(AngleUnit.D, enc)
 
 
-def measure_m_with_radius(a: Angle, r, depth: int) -> Interval:
-    """m computed with an explicit internal radius (for independence checks)."""
-    r = Fraction(r)
-    direction = _require_arms(a)
-    den = precision_denominator(depth)
-    total = pi_interval(depth).scale(2 * a.windings * r)
-    if direction is not None:
-        total = total + arc_length_bounds(_cos_interval_of_dir(direction, den), r, depth)
-    return total.scale(1 / r)
-
-
 def measure_mu(a: Angle, depth: Optional[int] = None) -> AngleMeasure:
     """Sector-content-to-square enclosure (unit e); satisfies m = 2 mu."""
-    direction = a.direction()
-
-    def refine(d: int) -> Interval:
-        total = pi_interval(d).scale(a.windings)
-        if direction is not None:
-            den = precision_denominator(d)
-            total = total + sector_area_bounds(_cos_interval_of_dir(direction, den), 1, d)
-        return total
-
-    enc = RealEnclosure(refine, name="mu")
+    enc = _turn_enclosure(a.windings, a.direction(), sector_area_bounds, name="mu")
     if depth is not None:
         enc.at(depth)
     return AngleMeasure(AngleUnit.E, enc)

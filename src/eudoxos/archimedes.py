@@ -22,13 +22,9 @@ _PREC_STEP = 8
 _ONE = Interval.point(1)
 
 
-def _den(level: int) -> int:
-    return 1 << (_PREC_BASE + _PREC_STEP * level)
-
-
 def precision_denominator(level: int) -> int:
     """Denominator cap used for directed rounding at a refinement level."""
-    return _den(level)
+    return 1 << (_PREC_BASE + _PREC_STEP * level)
 
 
 def _clamp01(iv: Interval) -> Interval:
@@ -65,7 +61,7 @@ _table: list[tuple[Interval, Interval]] = []
 def _sincos(level: int) -> tuple[Interval, Interval]:
     while len(_table) <= level:
         n = len(_table)
-        den = _den(n)
+        den = precision_denominator(n)
         if n == 0:
             s = Interval.point(Fraction(1, 2))
             c = sqrt_interval(Interval.point(Fraction(3, 4)), den)
@@ -163,7 +159,7 @@ def arc_length_bounds(cos0: Interval, r: Rat, depth: int) -> Interval:
     circumscribed tangent sum.  Both converge to the arc length r*t.
     """
     r = Fraction(r)
-    den = _den(depth)
+    den = precision_denominator(depth)
     s, c = halved_sincos(cos0, depth + 1, den)
     chords = (1 << (depth + 1)) * r
     return Interval(chords * s.lo, chords * (s.hi / c.lo))
@@ -176,7 +172,7 @@ def sector_area_bounds(cos0: Interval, r: Rat, depth: int) -> Interval:
     fan of tangent kites.
     """
     r = Fraction(r)
-    den = _den(depth)
+    den = precision_denominator(depth)
     s_j, _ = halved_sincos(cos0, depth, den)
     s_j1, c_j1 = halved_sincos(cos0, depth + 1, den)
     lo = Fraction(1 << depth, 2) * r * r * s_j.lo

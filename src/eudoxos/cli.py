@@ -153,14 +153,9 @@ def _trig_argument(args):
     return args.value
 
 
-def _cmd_sin(args) -> int:
-    enc = sin_analytic(_trig_argument(args))
-    _emit_interval(_materialize(enc, args.depth), args.depth, args)
-    return EXIT_OK
-
-
-def _cmd_cos(args) -> int:
-    enc = cos_analytic(_trig_argument(args))
+def _cmd_trig(args) -> int:
+    fn = sin_analytic if args.command == "sin" else cos_analytic
+    enc = fn(_trig_argument(args))
     _emit_interval(_materialize(enc, args.depth), args.depth, args)
     return EXIT_OK
 
@@ -317,18 +312,13 @@ def _eta_demo(depth: int):
 
 def _cmd_check(args) -> int:
     suite = args.suite
-    if suite == "proposition":
-        report = proposition_suite(bound=args.bound)
-        for line in report.lines():
-            print(line)
-        return EXIT_OK if report.passed else EXIT_DOMAIN
-    if suite == "units":
-        report = unit_relation_check(depth=args.depth)
-        for line in report.lines():
-            print(line)
-        return EXIT_OK if report.passed else EXIT_DOMAIN
-    if suite == "limit":
-        report = celebrated_limit_check(depth=args.depth)
+    reports = {
+        "proposition": lambda: proposition_suite(bound=args.bound),
+        "units": lambda: unit_relation_check(depth=args.depth),
+        "limit": lambda: celebrated_limit_check(depth=args.depth),
+    }
+    if suite in reports:
+        report = reports[suite]()
         for line in report.lines():
             print(line)
         return EXIT_OK if report.passed else EXIT_DOMAIN
@@ -354,13 +344,13 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(fn=_cmd_pi)
 
-    for name, fn in (("sin", _cmd_sin), ("cos", _cmd_cos)):
+    for name in ("sin", "cos"):
         p = sub.add_parser(name, help=f"analytic {name} enclosure")
         common(p)
         p.add_argument("value", nargs="?", type=_fraction, default=None)
         p.add_argument("--times-pi", type=_fraction, default=None,
                        help="argument as a rational multiple of pi")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_trig)
 
     p = sub.add_parser("asin", help="certified integral of 1/sqrt(1-t^2)")
     common(p)

@@ -13,6 +13,7 @@ threads is harmless.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -53,41 +54,29 @@ class RealEnclosure:
     def width_at(self, depth: int) -> Fraction:
         return self.at(depth).width
 
-    def __add__(self, other: "RealEnclosure") -> "RealEnclosure":
+    def _binary(self, other: "RealEnclosure", op, symbol: str) -> "RealEnclosure":
         exact = None
         if self.exact is not None and other.exact is not None:
-            exact = self.exact + other.exact
+            try:
+                exact = op(self.exact, other.exact)
+            except ZeroDivisionError:
+                pass
         return RealEnclosure(
-            lambda d: self.at(d) + other.at(d), exact=exact,
-            name=_join(self.name, "+", other.name),
+            lambda d: op(self.at(d), other.at(d)), exact=exact,
+            name=_join(self.name, symbol, other.name),
         )
+
+    def __add__(self, other: "RealEnclosure") -> "RealEnclosure":
+        return self._binary(other, operator.add, "+")
 
     def __sub__(self, other: "RealEnclosure") -> "RealEnclosure":
-        exact = None
-        if self.exact is not None and other.exact is not None:
-            exact = self.exact - other.exact
-        return RealEnclosure(
-            lambda d: self.at(d) - other.at(d), exact=exact,
-            name=_join(self.name, "-", other.name),
-        )
+        return self._binary(other, operator.sub, "-")
 
     def __mul__(self, other: "RealEnclosure") -> "RealEnclosure":
-        exact = None
-        if self.exact is not None and other.exact is not None:
-            exact = self.exact * other.exact
-        return RealEnclosure(
-            lambda d: self.at(d) * other.at(d), exact=exact,
-            name=_join(self.name, "*", other.name),
-        )
+        return self._binary(other, operator.mul, "*")
 
     def __truediv__(self, other: "RealEnclosure") -> "RealEnclosure":
-        exact = None
-        if self.exact is not None and other.exact is not None and other.exact != 0:
-            exact = self.exact / other.exact
-        return RealEnclosure(
-            lambda d: self.at(d) / other.at(d), exact=exact,
-            name=_join(self.name, "/", other.name),
-        )
+        return self._binary(other, operator.truediv, "/")
 
     def scale(self, factor: Rat) -> "RealEnclosure":
         factor = Fraction(factor)

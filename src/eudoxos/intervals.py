@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
+from .errors import DomainError
+
 Rat = Union[Fraction, int]
 
 
@@ -104,7 +106,7 @@ def exact_sqrt(value: Rat) -> Fraction | None:
     """Return the exact rational square root of ``value`` if one exists."""
     value = Fraction(value)
     if value < 0:
-        raise DomainErrorLike(value)
+        raise DomainError(value)
     p, q = value.numerator, value.denominator
     rp, rq = isqrt(p), isqrt(q)
     if rp * rp == p and rq * rq == q:
@@ -112,15 +114,11 @@ def exact_sqrt(value: Rat) -> Fraction | None:
     return None
 
 
-class DomainErrorLike(ValueError):
-    """Square root of a negative rational requested."""
-
-
 def sqrt_down(value: Rat, den: int) -> Fraction:
     """Largest multiple of 1/den whose square does not exceed ``value``."""
     value = Fraction(value)
     if value < 0:
-        raise DomainErrorLike(value)
+        raise DomainError(value)
     exact = exact_sqrt(value)
     if exact is not None:
         return exact
@@ -133,7 +131,7 @@ def sqrt_up(value: Rat, den: int) -> Fraction:
     """Smallest multiple of 1/den whose square is at least ``value``."""
     value = Fraction(value)
     if value < 0:
-        raise DomainErrorLike(value)
+        raise DomainError(value)
     exact = exact_sqrt(value)
     if exact is not None:
         return exact
@@ -147,5 +145,5 @@ def sqrt_up(value: Rat, den: int) -> Fraction:
 def sqrt_interval(iv: Interval, den: int) -> Interval:
     """Outward-rounded square root of a non-negative interval."""
     if iv.lo < 0:
-        raise DomainErrorLike(iv.lo)
+        raise DomainError(iv.lo)
     return Interval(sqrt_down(iv.lo, den), sqrt_up(iv.hi, den))

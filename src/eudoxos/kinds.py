@@ -54,6 +54,15 @@ class Comparison(Enum):
     INDISTINGUISHABLE = "indistinguishable-at-resolution"
 
 
+def total_order(a, b) -> Comparison:
+    """The comparison of two exactly ordered values (numbers, tuples)."""
+    if a < b:
+        return Comparison.LESS
+    if a > b:
+        return Comparison.GREATER
+    return Comparison.EQUAL
+
+
 @dataclass(frozen=True)
 class Resolution:
     eps: Fraction
@@ -124,11 +133,7 @@ def compare_enclosures(ea: RealEnclosure, eb: RealEnclosure, res: Resolution) ->
     if ea is eb:
         return Comparison.EQUAL
     if ea.exact is not None and eb.exact is not None:
-        if ea.exact < eb.exact:
-            return Comparison.LESS
-        if ea.exact > eb.exact:
-            return Comparison.GREATER
-        return Comparison.EQUAL
+        return total_order(ea.exact, eb.exact)
     depth = _separating_depth(ea, eb, res)
     if depth is None:
         return Comparison.INDISTINGUISHABLE
@@ -162,11 +167,7 @@ class _NaturalsOps(KindOps):
         return n * a
 
     def compare(self, a, b, res):
-        if a < b:
-            return Comparison.LESS
-        if a > b:
-            return Comparison.GREATER
-        return Comparison.EQUAL
+        return total_order(a, b)
 
     def sub(self, a, b, res):
         if a <= b:
@@ -180,8 +181,9 @@ class _NaturalsOps(KindOps):
         return Fraction(a)
 
 
-class _PolygonClassesOps(KindOps):
-    exact_compare = True
+class _PolygonClassesOps(_NaturalsOps):
+    """Equal-content classes: the naturals' arithmetic on rational contents."""
+
     kind = KindId.POLYGON_CLASSES
 
     def validate(self, payload):
@@ -189,30 +191,6 @@ class _PolygonClassesOps(KindOps):
         if payload <= 0:
             raise ZeroMagnitudeError("polygon class content must be positive")
         return payload
-
-    def add(self, a, b):
-        return a + b
-
-    def kmul(self, n, a):
-        return n * a
-
-    def compare(self, a, b, res):
-        if a < b:
-            return Comparison.LESS
-        if a > b:
-            return Comparison.GREATER
-        return Comparison.EQUAL
-
-    def sub(self, a, b, res):
-        if a <= b:
-            raise NotGreaterError(f"content {a} is not greater than {b}")
-        return a - b
-
-    def enclosure(self, a):
-        return RealEnclosure.from_fraction(a)
-
-    def exact(self, a):
-        return a
 
 
 class _LexPairsOps(KindOps):
@@ -241,11 +219,7 @@ class _LexPairsOps(KindOps):
         return (n * a[0], n * a[1])
 
     def compare(self, a, b, res):
-        if a < b:
-            return Comparison.LESS
-        if a > b:
-            return Comparison.GREATER
-        return Comparison.EQUAL
+        return total_order(a, b)
 
     def sub(self, a, b, res):
         if not b < a:

@@ -16,7 +16,7 @@ from .errors import (
     IrrationalVertexError,
     SelfIntersectionError,
 )
-from .kinds import Comparison, Magnitude, polygon_class
+from .kinds import Comparison, Magnitude, polygon_class, total_order
 
 Point = tuple[Fraction, Fraction]
 
@@ -166,12 +166,7 @@ def rho1_equivalent(p: Polygon, q: Polygon) -> bool:
 
 
 def compare_content(p: Polygon, q: Polygon) -> Comparison:
-    cp, cq = content(p), content(q)
-    if cp < cq:
-        return Comparison.LESS
-    if cp > cq:
-        return Comparison.GREATER
-    return Comparison.EQUAL
+    return total_order(content(p), content(q))
 
 
 def as_magnitude(p: Polygon | Fraction | int) -> Magnitude:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import IndistinguishableError, NotArchimedeanError
+from .errors import EudoxosError, IndistinguishableError, NotArchimedeanError
 from .intervals import Interval
 from .kinds import DEFAULT_RESOLUTION, Magnitude, Resolution
 from .ratios import CutSide, Ratio, _side_fn
@@ -30,6 +30,7 @@ class DigitStream:
     _producer: Iterator[int] = field(repr=False)
     _digits: list[int] = field(default_factory=list)
     _terminated: bool = False
+    _error: Optional[EudoxosError] = None
 
     @property
     def terminated(self) -> bool:
@@ -37,13 +38,22 @@ class DigitStream:
         return self._terminated
 
     def digit(self, i: int) -> Optional[int]:
-        """The i-th fractional digit (0-based), or None past termination."""
+        """The i-th fractional digit (0-based), or None past termination.
+
+        A digit the producer could not certify raises, and keeps raising on
+        every later request past the certified digits.
+        """
         while len(self._digits) <= i and not self._terminated:
+            if self._error is not None:
+                raise self._error
             try:
                 d = next(self._producer)
             except StopIteration:
                 self._terminated = True
                 break
+            except EudoxosError as exc:
+                self._error = exc
+                raise
             self._digits.append(d)
         if i < len(self._digits):
             return self._digits[i]

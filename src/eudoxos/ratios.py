@@ -92,8 +92,7 @@ def cut_member(r: Ratio, m: int, n: int, res: Resolution = DEFAULT_RESOLUTION) -
     """Place the fraction m/n against the ratio: Below means m*den < n*num."""
     if m < 1 or n < 1:
         raise ValueError("cut queries take positive integers")
-    side = _side_fn(r, res)(m, n)
-    return side
+    return _side_fn(r, res)(m, n)
 
 
 def _side_of_fraction(f: Fraction, v: Fraction) -> CutSide:
@@ -178,36 +177,49 @@ def _candidate_range(s: int, window: Optional[Interval], bound: int) -> Iterable
     return range(m_lo, m_hi + 1)
 
 
+def _witness_scan(
+    side1: Callable[[int, int], CutSide],
+    side2: Callable[[int, int], CutSide],
+    window: Optional[Interval],
+    bound: int,
+    decisive: Callable[[CutSide, CutSide], bool],
+) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
+    """Scan fractions p/q (p, q <= bound, inside window) by p+q, then p.
+
+    Returns the least pair whose two definite sides are ``decisive`` and the
+    least pair before it on which a side stayed UNKNOWN (None when absent).
+    """
+    first_unknown: Optional[tuple[int, int]] = None
+    for s in range(2, 2 * bound + 1):
+        for p in _candidate_range(s, window, bound):
+            q = s - p
+            c1, c2 = side1(p, q), side2(p, q)
+            if c1 is CutSide.UNKNOWN or c2 is CutSide.UNKNOWN:
+                if first_unknown is None:
+                    first_unknown = (p, q)
+                continue
+            if decisive(c1, c2):
+                return (p, q), first_unknown
+    return None, first_unknown
+
+
 def _proportion_scan(
     r1: Ratio,
     r2: Ratio,
     search_bound: int,
     res: Resolution,
-    differ: Callable[[CutSide, CutSide], Optional[bool]],
+    differ: Callable[[CutSide, CutSide], bool],
 ) -> ProportionVerdict:
     """Shared witness search; ``differ`` judges a pair of definite sides."""
-    side1, side2 = _side_fn(r1, res), _side_fn(r2, res)
     h1, h2 = _hull(r1, res), _hull(r2, res)
     window = h1.hull(h2) if (h1 is not None and h2 is not None) else None
-    first_unknown: Optional[tuple[int, int]] = None
-    for s in range(2, 2 * search_bound + 1):
-        for m in _candidate_range(s, window, search_bound):
-            n = s - m
-            c1, c2 = side1(m, n), side2(m, n)
-            if c1 is CutSide.UNKNOWN or c2 is CutSide.UNKNOWN:
-                if first_unknown is None:
-                    first_unknown = (m, n)
-                continue
-            if differ(c1, c2):
-                if first_unknown is not None:
-                    # A smaller pair stayed unknown: least-witness claim
-                    # cannot be certified.
-                    return ProportionVerdict(
-                        Proportionality.UNDECIDED, undecided_at=first_unknown
-                    )
-                return ProportionVerdict(Proportionality.NOT_PROPORTIONAL, witness=(m, n))
-    if first_unknown is not None:
-        return ProportionVerdict(Proportionality.UNDECIDED, undecided_at=first_unknown)
+    witness, unknown = _witness_scan(
+        _side_fn(r1, res), _side_fn(r2, res), window, search_bound, differ
+    )
+    if unknown is not None:
+        return ProportionVerdict(Proportionality.UNDECIDED, undecided_at=unknown)
+    if witness is not None:
+        return ProportionVerdict(Proportionality.NOT_PROPORTIONAL, witness=witness)
     return ProportionVerdict(Proportionality.PROPORTIONAL)
 
 
@@ -250,13 +262,6 @@ class LessVerdict:
     undecided_at: Optional[tuple[int, int]] = None
 
 
-def _multiple_trichotomy(r: Ratio, m: int, n: int, res: Resolution) -> CutSide:
-    """Trichotomy of m*num against n*den, i.e. the side of n/m in the cut."""
-    side = _side_fn(r, res)(n, m)
-    # side places n/m against num/den: BELOW means n*den < m*num.
-    return side
-
-
 def less_E(
     r1: Ratio,
     r2: Ratio,
@@ -264,28 +269,25 @@ def less_E(
     res: Resolution = DEFAULT_RESOLUTION,
 ) -> LessVerdict:
     """r1 < r2 iff r2 has the greater ratio: some equimultiples (m, n) have
-    m*r2.num > n*r2.den while m*r1.num does not exceed n*r1.den."""
+    m*r2.num > n*r2.den while m*r1.num does not exceed n*r1.den.
+
+    The fraction under test is n/m: below r2, at or above r1.  As in eq_E, a
+    witness behind a pair that stayed unknown gives Undecided at that pair.
+    """
     h1, h2 = _hull(r1, res), _hull(r2, res)
     window = None
     if h1 is not None and h2 is not None:
         if h1.lo > h2.hi:
             return LessVerdict(LessOutcome.NOT_LESS)  # r1 certainly above r2
         window = Interval(h1.lo, h2.hi)
-    first_unknown: Optional[tuple[int, int]] = None
-    for s in range(2, 2 * search_bound + 1):
-        for n in _candidate_range(s, window, search_bound):
-            m = s - n
-            # fraction under test is f = n/m
-            c2 = _multiple_trichotomy(r2, m, n, res)   # need m*num2 > n*den2: f below r2
-            c1 = _multiple_trichotomy(r1, m, n, res)   # need m*num1 <= n*den1: f at/above r1
-            if c1 is CutSide.UNKNOWN or c2 is CutSide.UNKNOWN:
-                if first_unknown is None:
-                    first_unknown = (m, n)
-                continue
-            if c2 is CutSide.BELOW and c1 in (CutSide.BOUNDARY, CutSide.ABOVE):
-                return LessVerdict(LessOutcome.LESS, witness=(m, n))
-    if first_unknown is not None:
-        return LessVerdict(LessOutcome.UNDECIDED, undecided_at=first_unknown)
+    witness, unknown = _witness_scan(
+        _side_fn(r2, res), _side_fn(r1, res), window, search_bound,
+        lambda c2, c1: c2 is CutSide.BELOW and c1 is not CutSide.BELOW,
+    )
+    if unknown is not None:
+        return LessVerdict(LessOutcome.UNDECIDED, undecided_at=unknown[::-1])
+    if witness is not None:
+        return LessVerdict(LessOutcome.LESS, witness=witness[::-1])
     return LessVerdict(LessOutcome.NOT_LESS)
 
 

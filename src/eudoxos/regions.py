@@ -18,28 +18,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .archimedes import (
-    PiEnclosure,
-    arc_length_bounds,
-    inscribed_outer_bounds,
-    pi_enclosure,
-    pi_interval,
-    pi_real,
-    precision_denominator,
-)
-from .angles import Angle, _cos_interval_of_dir
+from .archimedes import arc_length_bounds, pi_interval
+from .angles import Angle, _turn_enclosure
 from .enclosures import RealEnclosure
-from .errors import EmptyArcError, NotDisjointError, ZeroMagnitudeError
+from .errors import EmptyArcError, NotDisjointError, NotGreaterError, ZeroMagnitudeError
 from .intervals import Interval
-from .kinds import KindId, KindOps, Magnitude, register_kind
+from .kinds import Comparison, KindId, KindOps, Magnitude, magnitude_enclosure, register_kind
 from .polygons import Point, Polygon, content, parse_coordinate
 
 __all__ = [
-    "PiEnclosure",
-    "pi_enclosure",
-    "pi_interval",
-    "pi_real",
-    "inscribed_outer_bounds",
     "Sector",
     "Arc",
     "Region",
@@ -120,21 +107,11 @@ class Arc:
 def arc_sup_b(c: Arc) -> RealEnclosure:
     """Enclosure of the arc-length supremum (inscribed chord sums below,
     circumscribed tangent sums above); finitely additive over enclosures."""
-    r = c.radius
-    if c.turns is not None:
-        factor = 2 * r * c.turns
-        return RealEnclosure(lambda d: pi_interval(d).scale(factor), name="arc")
-    angle = c.angle
-    direction = angle.direction()
-
-    def refine(d: int) -> Interval:
-        total = pi_interval(d).scale(2 * r * angle.windings)
-        if direction is not None:
-            den = precision_denominator(d)
-            total = total + arc_length_bounds(_cos_interval_of_dir(direction, den), r, d)
-        return total
-
-    return RealEnclosure(refine, name="arc")
+    if c.angle is None:
+        turns, direction = c.turns, None
+    else:
+        turns, direction = c.angle.windings, c.angle.direction()
+    return _turn_enclosure(2 * c.radius * turns, direction, arc_length_bounds, c.radius, name="arc")
 
 
 RegionPart = Union[Polygon, Sector]
@@ -308,20 +285,7 @@ class Region:
 
 def region_content(x: Region) -> RealEnclosure:
     """Sum of part contents; a point enclosure for purely polygonal regions."""
-    exact = Fraction(0)
-    all_polygonal = True
-    factor = Fraction(0)
-    for p in x.parts:
-        if isinstance(p, Polygon):
-            exact += content(p)
-        else:
-            all_polygonal = False
-            factor += p.extent * p.radius * p.radius
-    if all_polygonal:
-        return RealEnclosure.from_fraction(exact, name="region")
-    return RealEnclosure(
-        lambda d: pi_interval(d).scale(factor).shift(exact), name="region"
-    )
+    return magnitude_enclosure(region_magnitude(x))
 
 
 class EtaResult(Enum):
@@ -361,16 +325,15 @@ class _RegionClassesOps(KindOps):
         return _RegionClassValue(n * a.exact, n * a.pi_factor, a.generators * n)
 
     def sub(self, a, b, res):
-        from .kinds import Comparison
-
         if self.compare(a, b, res) is not Comparison.GREATER:
-            raise ZeroMagnitudeError("region minuend not certified greater")
+            raise NotGreaterError("region minuend not certified greater")
         return _RegionClassValue(a.exact - b.exact, a.pi_factor - b.pi_factor, ())
 
     def enclosure(self, a):
+        if a.pi_factor == 0:
+            return RealEnclosure.from_fraction(a.exact, name="region")
         return RealEnclosure(
-            lambda d: pi_interval(d).scale(a.pi_factor).shift(a.exact),
-            exact=a.exact if a.pi_factor == 0 else None,
+            lambda d: pi_interval(d).scale(a.pi_factor).shift(a.exact), name="region"
         )
 
     def exact(self, a):

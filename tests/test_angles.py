@@ -148,12 +148,13 @@ class TestMeasures:
                 assert m.intersects(mu2)
 
     def test_radius_independence(self):
-        from eudoxos.angles import measure_m_with_radius
-
+        # arc over radius: the arc enclosure on radius r, scaled by 1/r
         a = E.angle_from_points((3, 0), (0, 0), (3, 4))
         for depth in (2, 6, 10):
-            m1 = measure_m_with_radius(a, 1, depth)
-            m2 = measure_m_with_radius(a, Fraction(7, 3), depth)
+            m1, m2 = (
+                E.arc_sup_b(E.Arc.from_angle(r, a)).at(depth).scale(1 / r)
+                for r in (Fraction(1), Fraction(7, 3))
+            )
             assert m1.intersects(m2)
 
     def test_additivity_on_shared_arm(self):

@@ -37,6 +37,15 @@ def test_less_E_undecided_on_boundary_enclosure():
     )
     v = E.less_E(E.rational_ratio(2), prod, 20)
     assert v.outcome is E.LessOutcome.UNDECIDED
+    # sqrt3:sqrt3 < sqrt7:sqrt3 has witness (2, 3), but the smaller pair
+    # (1, 1) sits on the uncertifiable boundary 1: as in eq_E, the least
+    # witness is not certified, so the verdict is Undecided there
+    v = E.less_E(
+        E.ratio(E.segment_sqrt(3), E.segment_sqrt(3)),
+        E.ratio(E.segment_sqrt(7), E.segment_sqrt(3)),
+        100,
+    )
+    assert v.outcome is E.LessOutcome.UNDECIDED and v.undecided_at == (1, 1)
 
 
 def test_sub_indistinguishable_propagates():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import bisect_root
+from eudoxos.errors import DomainError
 from eudoxos.intervals import (
     Interval,
     exact_sqrt,
@@ -59,6 +60,8 @@ def test_sqrt_exact_squares_detected(x):
     assert exact_sqrt(sq) == x
     den = 1 << 20
     assert sqrt_down(sq, den) == x == sqrt_up(sq, den)
+    with pytest.raises(DomainError):
+        sqrt_down(-sq, den)
 
 
 def test_sqrt_interval_monotone_in_den():

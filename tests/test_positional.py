@@ -114,6 +114,16 @@ def test_indistinguishable_raises():
     u = E.segment_sqrt(2)
     with pytest.raises(E.IndistinguishableError):
         E.measure_positional(b, u, base=10, res=E.Resolution(Fraction(1, 2**20)))
+    # (sqrt2*sqrt2)/8 is exactly 1/4, but no enclosure of it certifies the
+    # boundary 0.25: digit 1 stays undetermined on every request, and the
+    # stream never claims to have terminated
+    root2 = E.magnitude_enclosure(E.segment_sqrt(2))
+    quarter = E.segment_from_enclosure(root2 * root2 / E.RealEnclosure.from_fraction(8))
+    s = E.measure_positional(quarter, E.segment_rational(1), base=10)
+    for _ in range(2):
+        with pytest.raises(E.IndistinguishableError):
+            s.prefix(5)
+    assert s.prefix(1) == [2] and not s.terminated
 
 
 def test_decimal_display():

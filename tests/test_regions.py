@@ -154,6 +154,8 @@ class TestRegions:
         assert E.compare(m1, m2) is E.Comparison.LESS  # 1 < pi
         total = E.add(m1, m2)
         assert_contains_value(E.magnitude_enclosure(total).at(10), 1 + math.pi)
+        with pytest.raises(E.NotGreaterError):
+            E.sub(m1, m2)
 
 
 class TestEta:
