@@ -6,14 +6,15 @@ Digits are produced lazily.  Digit i satisfies the sandwich
 
 and the stream terminates exactly when b hits a subdivision point (the
 measured ratio is a base-k-terminating rational), instead of emitting an
-infinite tail of k-1 digits.
+infinite tail of k-1 digits.  Digit i is placed at resolution eps * k^-i.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import EudoxosError, IndistinguishableError, NotArchimedeanError
 from .intervals import Interval
@@ -25,9 +26,16 @@ _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 @dataclass
 class DigitStream:
+    """Digits of a measurement, produced lazily.
+
+    The producer yields (digit, last) pairs; ``last`` marks the digit at
+    which the measured ratio hit a subdivision point, so termination is
+    known without asking for the digit after it.
+    """
+
     base: int
     int_part: int
-    _producer: Iterator[int] = field(repr=False)
+    _producer: Iterator[tuple[int, bool]] = field(repr=False)
     _digits: list[int] = field(default_factory=list)
     _terminated: bool = False
     _error: Optional[EudoxosError] = None
@@ -47,10 +55,7 @@ class DigitStream:
             if self._error is not None:
                 raise self._error
             try:
-                d = next(self._producer)
-            except StopIteration:
-                self._terminated = True
-                break
+                d, self._terminated = next(self._producer)
             except EudoxosError as exc:
                 self._error = exc
                 raise
@@ -60,20 +65,19 @@ class DigitStream:
         return None
 
     def prefix(self, length: int) -> list[int]:
-        self.digit(length - 1) if length > 0 else None
+        if length > 0:
+            self.digit(length - 1)
         return self._digits[:length]
 
     def partial_sum(self, length: int) -> Fraction:
         digits = self.prefix(length)
-        total = Fraction(self.int_part)
-        scale = Fraction(1)
+        total = self.int_part
         for d in digits:
-            scale /= self.base
-            total += d * scale
-        return total
+            total = total * self.base + d
+        return Fraction(total, self.base ** len(digits))
 
     def terminated_within(self, length: int) -> bool:
-        self.digit(length)  # peek one past the prefix to learn termination
+        self.prefix(length)
         return self._terminated and len(self._digits) <= length
 
 
@@ -83,59 +87,65 @@ def measure_positional(
     base: int = 10,
     res: Resolution = DEFAULT_RESOLUTION,
 ) -> DigitStream:
-    """Positional expansion of the ratio b:u in the given base."""
+    """Positional expansion of the ratio b:u in the given base.
+
+    The integer part is measured at resolution ``res`` and fractional digit
+    i (from 1) at res.eps / base**i, so the resolution keeps pace with the
+    subdivision and only a true boundary leaves a digit undetermined.
+    """
     if base < 2:
         raise ValueError("base must be at least 2")
     r = Ratio(b, u)
-    side = _side_fn(r, res)
 
-    def place(f: Fraction) -> CutSide:
-        s = side(f.numerator, f.denominator)
-        if s is CutSide.UNKNOWN:
-            raise IndistinguishableError(
-                "digit undetermined at this resolution; measure with a finer one"
-            )
-        return s
+    def placer(eps: Fraction) -> Callable[[int, int], CutSide]:
+        side = _side_fn(r, Resolution(eps))
 
-    # Integer part: unique n0 with n0*u <= b < (n0+1)*u.
-    hi = 1
+        def place(m: int, n: int) -> CutSide:
+            g = math.gcd(m, n)
+            s = side(m // g, n // g)
+            if s is CutSide.UNKNOWN:
+                raise IndistinguishableError(
+                    "digit undetermined at this resolution; measure with a finer one"
+                )
+            return s
+
+        return place
+
+    # Integer part: unique n0 with n0*u <= b < (n0+1)*u, and whether b hits it.
+    place = placer(res.eps)
+    lo, hi, exact = 0, 1, False
     for _ in range(256):
-        if place(Fraction(hi)) is CutSide.ABOVE:
+        s = place(hi, 1)
+        if s is CutSide.ABOVE:
             break
-        hi *= 2
+        lo, hi, exact = hi, 2 * hi, s is CutSide.BOUNDARY
     else:
         raise NotArchimedeanError("the unit never exceeds the measured magnitude")
-    lo = 0  # place(0) would be ABOVE-trivial: magnitudes are positive
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        s = place(Fraction(mid))
+        s = place(mid, 1)
         if s is CutSide.ABOVE:
             hi = mid
         else:
-            lo = mid
-    n0 = lo
-    exact_at_n0 = n0 >= 1 and place(Fraction(n0)) is CutSide.BOUNDARY
+            lo, exact = mid, s is CutSide.BOUNDARY
 
-    def digits() -> Iterator[int]:
-        if exact_at_n0:
-            return
-        total = Fraction(n0)
-        scale = Fraction(1)
+    def digits() -> Iterator[tuple[int, bool]]:
+        num, den = lo, 1  # the partial sum num/den, den = base**i
         while True:
-            scale /= base
-            d_lo, d_hi = 0, base - 1  # invariant: total + d_lo*scale <= value
+            num, den = num * base, den * base
+            place = placer(res.eps / den)
+            d_lo, d_hi, last = 0, base - 1, False  # num + d_lo is not above
             while d_lo < d_hi:
                 mid = (d_lo + d_hi + 1) // 2
-                if place(total + mid * scale) is CutSide.ABOVE:
+                s = place(num + mid, den)
+                if s is CutSide.ABOVE:
                     d_hi = mid - 1
                 else:
-                    d_lo = mid
-            total += d_lo * scale
-            yield d_lo
-            if d_lo > 0 and place(total) is CutSide.BOUNDARY:
-                return
+                    d_lo, last = mid, s is CutSide.BOUNDARY
+            num += d_lo
+            yield d_lo, last
 
-    return DigitStream(base=base, int_part=n0, _producer=digits())
+    return DigitStream(base=base, int_part=lo, _producer=digits(), _terminated=exact)
 
 
 def stream_to_enclosure(s: DigitStream, prefix_len: int) -> Interval:
@@ -151,13 +161,11 @@ def stream_to_enclosure(s: DigitStream, prefix_len: int) -> Interval:
 def decimal_display(iv: Interval, max_digits: int = 12) -> str:
     """Decimal digits certain from the enclosure (the common prefix of the
     positional expansions of its endpoints); empty when none agree."""
-    import math as _math
-
     best = None
     for k in range(max_digits + 1):
         scale = 10**k
-        flo = _math.floor(iv.lo * scale)
-        if flo != _math.floor(iv.hi * scale):
+        flo = math.floor(iv.lo * scale)
+        if flo != math.floor(iv.hi * scale):
             break
         best = (flo, k)
     if best is None:

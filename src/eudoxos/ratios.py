@@ -9,8 +9,8 @@ may stay unknown at the working resolution, in which case the verdict is
 honestly Undecided.
 
 ``to_real`` is the order embedding into real enclosures: rational-valued
-ratios map to exact points, all others to nested bracketing intervals found
-by bisecting the cut.
+ratios map to exact points, all others to the nested brackets of their
+base-2 positional measurement.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .enclosures import RealEnclosure
-from .errors import KindMismatchError, NotArchimedeanError, IndistinguishableError
+from .errors import KindMismatchError, NotArchimedeanError
 from .intervals import Interval
 from . import kinds
 from .kinds import (
@@ -61,6 +62,14 @@ class Ratio:
     def __repr__(self) -> str:
         return f"Ratio({self.num!r} : {self.den!r})"
 
+    @cached_property
+    def _enclosure(self) -> Optional[RealEnclosure]:
+        # One value enclosure per ratio: every cut oracle shares its cache.
+        en, ed = magnitude_enclosure(self.num), magnitude_enclosure(self.den)
+        if en is None or ed is None:
+            return None
+        return en / ed
+
 
 def ratio(num: Magnitude, den: Magnitude) -> Ratio:
     return Ratio(num, den)
@@ -82,10 +91,7 @@ def exact_value(r: Ratio) -> Optional[Fraction]:
 
 
 def value_enclosure(r: Ratio) -> Optional[RealEnclosure]:
-    en, ed = magnitude_enclosure(r.num), magnitude_enclosure(r.den)
-    if en is None or ed is None:
-        return None
-    return en / ed
+    return r._enclosure
 
 
 def cut_member(r: Ratio, m: int, n: int, res: Resolution = DEFAULT_RESOLUTION) -> CutSide:
@@ -137,7 +143,7 @@ def _side_fn(r: Ratio, res: Resolution) -> Callable[[int, int], CutSide]:
     return side_magnitudes
 
 
-def _hull(r: Ratio, res: Resolution, probe_depth: int = 16) -> Optional[Interval]:
+def _hull(r: Ratio, probe_depth: int = 16) -> Optional[Interval]:
     v = exact_value(r)
     if v is not None:
         return Interval.point(v)
@@ -211,7 +217,7 @@ def _proportion_scan(
     differ: Callable[[CutSide, CutSide], bool],
 ) -> ProportionVerdict:
     """Shared witness search; ``differ`` judges a pair of definite sides."""
-    h1, h2 = _hull(r1, res), _hull(r2, res)
+    h1, h2 = _hull(r1), _hull(r2)
     window = h1.hull(h2) if (h1 is not None and h2 is not None) else None
     witness, unknown = _witness_scan(
         _side_fn(r1, res), _side_fn(r2, res), window, search_bound, differ
@@ -274,7 +280,7 @@ def less_E(
     The fraction under test is n/m: below r2, at or above r1.  As in eq_E, a
     witness behind a pair that stayed unknown gives Undecided at that pair.
     """
-    h1, h2 = _hull(r1, res), _hull(r2, res)
+    h1, h2 = _hull(r1), _hull(r2)
     window = None
     if h1 is not None and h2 is not None:
         if h1.lo > h2.hi:
@@ -302,17 +308,17 @@ def scale_rational(m: int, n: int, r: Ratio) -> Ratio:
     return Ratio(kmul(m, r.num), kmul(n, r.den))
 
 
-def _re(r: Ratio, res: Resolution) -> RealEnclosure:
+def _re(r: Ratio) -> RealEnclosure:
     v = exact_value(r)
     if v is not None:
         return RealEnclosure.from_fraction(v)
     enc = value_enclosure(r)
     if enc is not None:
         return enc
-    return to_real(r, res)
+    return to_real(r)
 
 
-def add_ratio(r1: Ratio, r2: Ratio, res: Resolution = DEFAULT_RESOLUTION) -> Ratio:
+def add_ratio(r1: Ratio, r2: Ratio) -> Ratio:
     """Sum via common-denominator representatives over the segment kind.
 
     Rational-valued ratios get the exact fourth proportional (a ratio of
@@ -322,78 +328,52 @@ def add_ratio(r1: Ratio, r2: Ratio, res: Resolution = DEFAULT_RESOLUTION) -> Rat
     v1, v2 = exact_value(r1), exact_value(r2)
     if v1 is not None and v2 is not None:
         return rational_ratio(v1 + v2)
-    e = _re(r1, res) + _re(r2, res)
+    e = _re(r1) + _re(r2)
     return Ratio(segment_from_enclosure(e), segment_rational(1))
 
 
-def mul_ratio(r1: Ratio, r2: Ratio, res: Resolution = DEFAULT_RESOLUTION) -> Ratio:
+def mul_ratio(r1: Ratio, r2: Ratio) -> Ratio:
     """Product via the chained representation u:w, w:v -> u:v."""
     v1, v2 = exact_value(r1), exact_value(r2)
     if v1 is not None and v2 is not None:
         return rational_ratio(v1 * v2)
-    e = _re(r1, res) * _re(r2, res)
+    e = _re(r1) * _re(r2)
     return Ratio(segment_from_enclosure(e), segment_rational(1))
 
 
-_EXPANSION_CAP = 64
+_EMPTY_CUT_DIGITS = 64
 
 
-def to_real(r: Ratio, res: Resolution = DEFAULT_RESOLUTION) -> RealEnclosure:
-    """Order embedding into real enclosures by bisecting the cut.
+def to_real(r: Ratio) -> RealEnclosure:
+    """Order embedding into real enclosures: the binary measurement of r.
 
-    At depth k the bracket has width at most 2^-k; every fraction below the
-    bracket is in the cut and every fraction above is out.  Raises
-    NotArchimedean when the cut is empty or full (detected exactly on exact
-    kinds, after a bounded doubling search otherwise).
+    Depth k is a prefix of the base-2 digit stream of r, measured on the
+    first query: k digits (at least one) for values from 1/2 up, and below
+    1/2 one digit more, reaching at least the first non-zero digit.  So the
+    bracket has width at most 2^-k; every fraction below it is in the cut and
+    every fraction above is out.  Raises NotArchimedean when the cut is empty
+    (64 leading zero digits) or full (the unit never exceeds the numerator).
     """
     v = exact_value(r)
     if v is not None:
         return RealEnclosure.from_fraction(v)
+    from .positional import measure_positional, stream_to_enclosure
+
+    stream = None
 
     def refine(depth: int) -> Interval:
-        eps = Fraction(1, 1 << depth)
-        side = _side_fn(r, Resolution(Fraction(1, 1 << (depth + 32))))
-
-        def place(f: Fraction) -> CutSide:
-            s = side(f.numerator, f.denominator)
-            if s is CutSide.UNKNOWN:
-                raise IndistinguishableError(
-                    "cut query unresolved while embedding; raise the resolution"
-                )
-            return s
-
-        hi = Fraction(1)
-        for _ in range(_EXPANSION_CAP):
-            s = place(hi)
-            if s is CutSide.ABOVE:
-                break
-            if s is CutSide.BOUNDARY:
-                return Interval.point(hi)
-            hi *= 2
-        else:
-            raise NotArchimedeanError("cut is full: numerator infinite relative to denominator")
-        lo = hi / 2 if hi > 1 else Fraction(1, 2)
-        while True:
-            s = place(lo)
-            if s is CutSide.BELOW:
-                break
-            if s is CutSide.BOUNDARY:
-                return Interval.point(lo)
-            lo /= 2
-            if lo < Fraction(1, 1 << _EXPANSION_CAP):
+        nonlocal stream
+        if stream is None:
+            stream = measure_positional(r.num, r.den, 2)
+        length = depth
+        if stream.int_part == 0:
+            lead = next((i for i in range(_EMPTY_CUT_DIGITS) if stream.digit(i)), None)
+            if lead is None:
                 raise NotArchimedeanError(
                     "cut is empty: numerator infinitesimal relative to denominator"
                 )
-        while hi - lo > eps:
-            mid = (lo + hi) / 2
-            s = place(mid)
-            if s is CutSide.BELOW:
-                lo = mid
-            elif s is CutSide.ABOVE:
-                hi = mid
-            else:
-                return Interval.point(mid)
-        return Interval(lo, hi)
+            length = max(depth, 1) if lead == 0 else max(depth + 1, lead + 1)
+        return stream_to_enclosure(stream, length)
 
     return RealEnclosure(refine, name="Re")
 

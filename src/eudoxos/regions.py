@@ -317,17 +317,15 @@ class _RegionClassesOps(KindOps):
     def add(self, a, b):
         # classes add without placement: disjoint representatives always
         # exist after translation
-        return _RegionClassValue(
-            a.exact + b.exact, a.pi_factor + b.pi_factor, a.generators + b.generators
-        )
+        return _RegionClassValue(a.exact + b.exact, a.pi_factor + b.pi_factor)
 
     def kmul(self, n, a):
-        return _RegionClassValue(n * a.exact, n * a.pi_factor, a.generators * n)
+        return _RegionClassValue(n * a.exact, n * a.pi_factor)
 
     def sub(self, a, b, res):
         if self.compare(a, b, res) is not Comparison.GREATER:
             raise NotGreaterError("region minuend not certified greater")
-        return _RegionClassValue(a.exact - b.exact, a.pi_factor - b.pi_factor, ())
+        return _RegionClassValue(a.exact - b.exact, a.pi_factor - b.pi_factor)
 
     def enclosure(self, a):
         if a.pi_factor == 0:
@@ -342,15 +340,14 @@ class _RegionClassesOps(KindOps):
 
 @dataclass(frozen=True)
 class _RegionClassValue:
-    """Content as exact + pi_factor * pi, with generator provenance.
+    """Content as exact + pi_factor * pi: the whole value of a region class.
 
-    The (exact, pi_factor) pair is closed under addition and integer
-    multiples; subtraction keeps the value but drops the generator list.
+    The pair is closed under addition, integer multiples and subtraction, and
+    two regions of equal content give equal values wherever they lie.
     """
 
     exact: Fraction
     pi_factor: Fraction
-    generators: tuple = ()
 
 
 register_kind(_RegionClassesOps())
@@ -364,7 +361,7 @@ def region_magnitude(x: Region) -> Magnitude:
             exact += content(p)
         else:
             factor += p.extent * p.radius * p.radius
-    return Magnitude(KindId.REGION_CLASSES, _RegionClassValue(exact, factor, x.parts))
+    return Magnitude(KindId.REGION_CLASSES, _RegionClassValue(exact, factor))
 
 
 # -- XII.2 --------------------------------------------------------------------
@@ -447,61 +444,47 @@ def xii2_verify(r1, r2, depth: int = 10, search_bound: int = 100) -> Xii2Record:
 
     # Trichotomy of n1*c2 vs n2*c1: the exact route compares n1*r2^2 with
     # n2*r1^2 (similar inscribed/circumscribed polygons scale exactly, the
-    # XII.1 step), the enclosure route requires interval separation.  A pair
-    # witnesses a branch only if the intervals positively assert its strict
-    # circle inequality (or its exact equality).
-    def scan(branch: str, s_cond, c_sign_needed: int) -> BranchScan:
-        witnesses = []
-        refuted_exact = 0
-        refuted_enc = 0
-        undecided = []
-        for n1 in range(1, search_bound):
-            for n2 in range(1, search_bound - n1 + 1):
-                if not s_cond(n1, n2):
-                    continue
-                diff = n1 * r2 * r2 - n2 * r1 * r1  # sign of n1*c2 - n2*c1
-                lhs = c2.scale(n1)
-                rhs = c1.scale(n2)
-                sep_gt = lhs.lo > rhs.hi
-                sep_lt = lhs.hi < rhs.lo
-                if c_sign_needed > 0:
-                    if sep_gt:
-                        witnesses.append((n1, n2))
-                    elif diff <= 0:
-                        refuted_exact += 1
-                    elif sep_lt:
-                        refuted_enc += 1
-                    else:
-                        undecided.append((n1, n2))
-                elif c_sign_needed < 0:
-                    if sep_lt:
-                        witnesses.append((n1, n2))
-                    elif diff >= 0:
-                        refuted_exact += 1
-                    elif sep_gt:
-                        refuted_enc += 1
-                    else:
-                        undecided.append((n1, n2))
+    # XII.1 step), the enclosure route requires interval separation.  Since
+    # s = 4r^2, each branch's square condition is an exact circle sign, so
+    # one pass classifies every pair.  A pair witnesses branch (i) or (ii)
+    # only if the intervals positively assert its strict circle inequality,
+    # which the exact sign denies; branches (iii) and (iv) need an equality
+    # the exact sign denies, so the intervals refute them or leave them open.
+    witnesses = ([], [])  # branches (i), (ii)
+    refuted_exact = [0, 0]
+    refuted_enc = [0, 0]  # branches (iii), (iv)
+    undecided = ([], [])
+    for n1 in range(1, search_bound):
+        for n2 in range(1, search_bound - n1 + 1):
+            diff = n1 * r2 * r2 - n2 * r1 * r1  # sign of n1*c2 - n2*c1
+            sep_gt = n1 * c2.lo > n2 * c1.hi
+            sep_lt = n1 * c2.hi < n2 * c1.lo
+            if diff <= 0:
+                if sep_gt:
+                    witnesses[0].append((n1, n2))
                 else:
-                    if diff == 0:
-                        witnesses.append((n1, n2))
-                    elif sep_gt or sep_lt:
-                        refuted_enc += 1
-                    else:
-                        undecided.append((n1, n2))
-        return BranchScan(
-            branch, tuple(witnesses), refuted_exact, refuted_enc, tuple(undecided)
-        )
+                    refuted_exact[0] += 1
+            if diff >= 0:
+                if sep_lt:
+                    witnesses[1].append((n1, n2))
+                else:
+                    refuted_exact[1] += 1
+            if diff != 0:
+                i = 0 if diff < 0 else 1
+                if sep_gt or sep_lt:
+                    refuted_enc[i] += 1
+                else:
+                    undecided[i].append((n1, n2))
 
     branches = (
-        scan("(i)  n1*c2 > n2*c1 and n1*s2 <= n2*s1",
-             lambda n1, n2: n1 * s2 <= n2 * s1, +1),
-        scan("(ii) n2*c1 > n1*c2 and n2*s1 <= n1*s2",
-             lambda n1, n2: n2 * s1 <= n1 * s2, -1),
-        scan("(iii) n1*c2 = n2*c1 and n1*s2 < n2*s1",
-             lambda n1, n2: n1 * s2 < n2 * s1, 0),
-        scan("(iv) n2*c1 = n1*c2 and n2*s1 < n1*s2",
-             lambda n1, n2: n2 * s1 < n1 * s2, 0),
+        BranchScan("(i)  n1*c2 > n2*c1 and n1*s2 <= n2*s1",
+                   tuple(witnesses[0]), refuted_exact[0], 0, ()),
+        BranchScan("(ii) n2*c1 > n1*c2 and n2*s1 <= n1*s2",
+                   tuple(witnesses[1]), refuted_exact[1], 0, ()),
+        BranchScan("(iii) n1*c2 = n2*c1 and n1*s2 < n2*s1",
+                   (), 0, refuted_enc[0], tuple(undecided[0])),
+        BranchScan("(iv) n2*c1 = n1*c2 and n2*s1 < n1*s2",
+                   (), 0, refuted_enc[1], tuple(undecided[1])),
     )
     return Xii2Record(
         r1=r1,

@@ -1,5 +1,6 @@
 """Base-k measurement streams against exact fraction and bisection oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,14 @@ def test_sqrt2_digits_from_bisection_oracle():
     s = E.measure_positional(E.segment_sqrt(2), E.segment_rational(1), base=10)
     assert s.int_part == 1
     assert s.prefix(7) == oracle == [4, 1, 4, 2, 1, 3, 5]
+
+
+def test_sqrt2_hundred_decimals():
+    # the resolution refines per digit, so no digit hits a precision floor
+    s = E.measure_positional(E.segment_sqrt(2), E.segment_rational(1), base=10)
+    digits = str(math.isqrt(2 * 10**200))
+    assert s.int_part == 1
+    assert s.prefix(100) == [int(ch) for ch in digits[1:]]
 
 
 def test_stream_to_enclosure_formula():
@@ -124,6 +133,10 @@ def test_indistinguishable_raises():
         with pytest.raises(E.IndistinguishableError):
             s.prefix(5)
     assert s.prefix(1) == [2] and not s.terminated
+    # the enclosure of a prefix needs no digit past it
+    assert E.stream_to_enclosure(s, 1) == E.Interval(Fraction(1, 5), Fraction(3, 10))
+    with pytest.raises(E.IndistinguishableError):
+        s.prefix(5)
 
 
 def test_decimal_display():

@@ -1,5 +1,6 @@
 """Cuts, proportion, order, ratio arithmetic, and the Re embedding."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -214,10 +215,46 @@ class TestToReal:
             prev = cur
 
     def test_not_archimedean(self):
+        # building asks no cut query: only the first refinement finds the
+        # empty cut
+        enc = E.to_real(E.ratio(E.lex_pair(0, 1), E.lex_pair(1, 0)))
         with pytest.raises(E.NotArchimedeanError):
-            E.to_real(E.ratio(E.lex_pair(0, 1), E.lex_pair(1, 0))).at(1)
+            enc.at(1)
         with pytest.raises(E.NotArchimedeanError):
             E.to_real(E.ratio(E.lex_pair(1, 0), E.lex_pair(0, 1))).at(1)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 5, 7, 11, 30, 59, 60])
+    def test_sqrt_brackets_are_binary_prefixes(self, a):
+        # depth k reads L binary digits of v = sqrt(a/c): L = k from 1 up,
+        # at least 1 from 1/2 up, and below 1/2 one more than k, reaching at
+        # least the first non-zero digit (j digits, 2^-j <= v < 2^-(j-1))
+        for c in (1, 2, 3, 6, 17, 37, 58, 60):
+            if math.isqrt(a * c) ** 2 == a * c:
+                continue
+            if a >= c:
+                lengths = list(range(61))
+            else:
+                j = next(j for j in range(1, 8) if 4**j * a >= c)
+                lengths = [max(k + (j > 1), j) for k in range(61)]
+            want = [E.Interval(Fraction(math.isqrt(a * 4**L // c), 2**L),
+                               Fraction(math.isqrt(a * 4**L // c) + 1, 2**L))
+                    for L in lengths]
+
+            def build():
+                return E.to_real(E.ratio(E.segment_sqrt(a), E.segment_sqrt(c)))
+
+            walked = build()
+            assert [walked.at(k) for k in range(61)] == want
+            backwards = build()
+            assert [backwards.at(k) for k in range(60, -1, -1)] == want[::-1]
+            for k in (0, 1, 7, 33, 60):
+                assert build().at(k) == want[k]
+
+    def test_values_above_two_to_the_63(self):
+        v2 = 2**141  # sqrt(v2) = 2^70.5: a large value, not a full cut
+        iv = E.to_real(E.ratio(E.segment_sqrt(v2), E.segment_rational(1))).at(3)
+        lo = math.isqrt(v2 * 4**3)
+        assert iv == E.Interval(Fraction(lo, 8), Fraction(lo + 1, 8))
 
     def test_order_embedding(self):
         r_lo, r_hi = sqrt2_ratio(), nat_ratio(3, 2)

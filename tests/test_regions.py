@@ -156,6 +156,9 @@ class TestRegions:
         assert_contains_value(E.magnitude_enclosure(total).at(10), 1 + math.pi)
         with pytest.raises(E.NotGreaterError):
             E.sub(m1, m2)
+        # a class is its content alone: unit disks anywhere are equal
+        m3 = E.region_magnitude(E.Region([E.disk((5, 5), 1)]))
+        assert E.compare(m2, m3) is E.Comparison.EQUAL
 
 
 class TestEta:
