@@ -29,8 +29,8 @@ from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence, Union
 
 from .archimedes import (
+    HalvingChain,
     arc_length_bounds,
-    halved_sincos,
     pi_interval,
     precision_denominator,
     sector_area_bounds,
@@ -260,14 +260,29 @@ def _turn_enclosure(
     ``bounds`` is arc_length_bounds (a half-turn of arc is pi*r) or
     sector_area_bounds (a half-turn of sector is pi*r^2/2); a missing
     direction (whole turns only) contributes nothing.
+
+    The direction has one halving chain, rounded at precision_denominator(cap)
+    and read at every depth up to cap.  The first query builds it with cap =
+    its depth, so a single query rounds as a chain built for that depth alone;
+    a deeper query rebuilds it with cap = max(depth, 2*cap + 1), so a walk to
+    depth d rebuilds O(log d) times.  Directed rounding on the finer grid, a
+    power-of-two multiple of the coarser, lands inside the coarser results, so
+    shallower depths read from it are no wider (bar an input that is an exact
+    rational square, whose root is returned unrounded on either grid).
     """
+    chain: Optional[tuple[int, HalvingChain]] = None  # (cap, chain), rebound whole
 
     def refine(depth: int) -> Interval:
+        nonlocal chain
         total = pi_interval(depth).scale(pi_multiple)
-        if direction is not None:
-            cos0 = _cos_interval_of_dir(direction, precision_denominator(depth))
-            total = total + bounds(cos0, r, depth)
-        return total
+        if direction is None:
+            return total
+        current = chain
+        if current is None or depth > current[0]:
+            cap = depth if current is None else max(depth, 2 * current[0] + 1)
+            den = precision_denominator(cap)
+            current = chain = (cap, HalvingChain(_cos_interval_of_dir(direction, den), den))
+        return total + bounds(current[1], r, depth)
 
     return RealEnclosure(refine, name=name)
 
@@ -793,7 +808,7 @@ def celebrated_limit_check(
         for k in range(halvings + 1):
             d_eff = depth + k
             den = precision_denominator(d_eff)
-            s_k, _ = halved_sincos(_cos_interval_of_dir(direction, den), k, den)
+            s_k, _ = HalvingChain(_cos_interval_of_dir(direction, den), den).sincos(k)
             m_k = m0.at(d_eff).scale(Fraction(1, 1 << k))
             entries.append(LimitEntry(f"45/2^{k} deg", s_k / m_k))
     return LimitReport(tuple(entries), Fraction(tolerance))

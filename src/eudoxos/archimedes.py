@@ -4,8 +4,8 @@ Maintains certified interval tables for sin and cos of pi/(6*2^n) via the
 half-angle recurrence with outward-rounded rational square roots.  From these
 come the inscribed/circumscribed perimeter and area bounds of the 6*2^n-gon
 and the nested pi enclosure.  The same halved-cosine recurrence, started from
-an arbitrary exact cosine interval, serves the arc and sector bounds of
-point-triple angles.
+an arbitrary cosine interval, is the ``HalvingChain`` behind the arc and
+sector bounds of point-triple angles.
 """
 
 from __future__ import annotations
@@ -41,20 +41,37 @@ def half_sin(c: Interval, den: int) -> Interval:
     return sqrt_interval(_clamp01((-c).shift(1).scale(Fraction(1, 2))), den)
 
 
-def halved_sincos(cos0: Interval, halvings: int, den: int) -> tuple[Interval, Interval]:
-    """(sin, cos) of t/2^halvings given an interval for cos(t), t in (0, pi)."""
-    if halvings == 0:
-        csq = _clamp01(cos0 * cos0)
-        s = sqrt_interval(Interval(1 - csq.hi, 1 - csq.lo), den)
-        return s, cos0
-    prev = cos0
-    for _ in range(halvings - 1):
-        prev = half_cos(prev, den)
-    return half_sin(prev, den), half_cos(prev, den)
+class HalvingChain:
+    """cos(t/2^k) for k = 0, 1, ... of one angle t in (0, pi), at one denominator.
+
+    Levels are computed on first request and kept as a tuple that is
+    replaced, never appended to, so every reader sees a consistent prefix.
+    """
+
+    __slots__ = ("den", "_cos")
+
+    def __init__(self, cos0: Interval, den: int):
+        self.den = den
+        self._cos = (cos0,)
+
+    def sincos(self, k: int) -> tuple[Interval, Interval]:
+        """(sin, cos) of t/2^k."""
+        levels = self._cos
+        if k >= len(levels):
+            grown = list(levels)
+            while len(grown) <= k:
+                grown.append(half_cos(grown[-1], self.den))
+            levels = self._cos = tuple(grown)
+        if k == 0:
+            csq = _clamp01(levels[0] * levels[0])
+            return sqrt_interval(Interval(1 - csq.hi, 1 - csq.lo), self.den), levels[0]
+        return half_sin(levels[k - 1], self.den), levels[k]
 
 
-# sin/cos of pi/(6*2^n), index n; den grows with n so rounding slop shrinks
-# strictly faster than the true bounds improve.
+# sin/cos of pi/(6*2^n), index n, level n rounded at precision_denominator(n).
+# The finer rounding of deep levels does not undo the slop they inherit from
+# level 0: s = sqrt((1-c)/2) amplifies the width of c by about 1/(4s), so
+# sides*width(s) stays near the level-0 slop and pi_enclosure stalls near 2^-60.
 _table: list[tuple[Interval, Interval]] = []
 
 
@@ -152,29 +169,27 @@ def inscribed_outer_bounds(
     return perimeter_lo, perimeter_hi, area_lo, area_hi
 
 
-def arc_length_bounds(cos0: Interval, r: Rat, depth: int) -> Interval:
-    """Bounds for r*t where cos(t) lies in cos0, t in (0, pi).
+def arc_length_bounds(chain: HalvingChain, r: Rat, depth: int) -> Interval:
+    """Bounds for r*t, where ``chain`` halves t in (0, pi).
 
     Lower: inscribed chord sum with 2^depth equal chords.  Upper: the
     circumscribed tangent sum.  Both converge to the arc length r*t.
     """
     r = Fraction(r)
-    den = precision_denominator(depth)
-    s, c = halved_sincos(cos0, depth + 1, den)
+    s, c = chain.sincos(depth + 1)
     chords = (1 << (depth + 1)) * r
     return Interval(chords * s.lo, chords * (s.hi / c.lo))
 
 
-def sector_area_bounds(cos0: Interval, r: Rat, depth: int) -> Interval:
-    """Bounds for the sector content (t/2)*r^2, cos(t) in cos0, t in (0, pi).
+def sector_area_bounds(chain: HalvingChain, r: Rat, depth: int) -> Interval:
+    """Bounds for the sector content (t/2)*r^2, where ``chain`` halves t in (0, pi).
 
     Lower: inscribed fan of 2^depth isoceles triangles.  Upper: circumscribed
     fan of tangent kites.
     """
     r = Fraction(r)
-    den = precision_denominator(depth)
-    s_j, _ = halved_sincos(cos0, depth, den)
-    s_j1, c_j1 = halved_sincos(cos0, depth + 1, den)
+    s_j, _ = chain.sincos(depth)
+    s_j1, c_j1 = chain.sincos(depth + 1)
     lo = Fraction(1 << depth, 2) * r * r * s_j.lo
     hi = (1 << depth) * r * r * (s_j1.hi / c_j1.lo)
     return Interval(lo, hi)

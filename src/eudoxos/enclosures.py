@@ -1,19 +1,26 @@
 """Refinable nested-interval representations of computable reals.
 
 A ``RealEnclosure`` owns a refinement procedure mapping a depth index to a
-rational interval.  Successive depths are forced to nest by intersecting with
-the previously computed interval; for certified generators the intersection is
-never empty.  An optional ``exact`` field marks values known to be a specific
-rational, which lets comparisons answer Equal instead of Indistinguishable.
+rational interval.  Cached depths are forced to nest in any query order: a
+new depth is intersected with the nearest cached shallower interval and
+widened to the hull of the nearest cached deeper one; for certified
+generators the intersection is never empty.  An optional ``exact`` field
+marks values known to be a specific rational, which lets comparisons answer
+Equal instead of Indistinguishable.
 
-Values are immutable apart from the depth cache, whose writes are idempotent
-(the same interval is recomputed deterministically), so sharing across
-threads is harmless.
+Values are immutable apart from the depth cache.  What a depth returns may
+depend on the depths queried before it (a refinement may keep state, such as
+a halving chain, and nesting trims each result), but every interval returned
+encloses the value, in any order and from any thread.  Nesting holds for
+queries made one at a time; when two threads miss the same enclosure at once,
+each writes its own certified interval, and the one left cached need not nest
+with a depth the other thread added meanwhile.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -41,14 +48,19 @@ class RealEnclosure:
     def at(self, depth: int) -> Interval:
         if depth < 0:
             raise ValueError("depth must be non-negative")
-        if depth in self._cache:
-            return self._cache[depth]
+        cache = self._cache
+        if depth in cache:
+            return cache[depth]
         iv = self._refine(depth)
-        # Enforce nesting against the deepest shallower result already seen.
-        for d in sorted(self._cache):
-            if d < depth:
-                iv = iv.intersection(self._cache[d])
-        self._cache[depth] = iv
+        # The cache is a nested chain: fit the new depth between its nearest
+        # cached neighbours (inside the shallower one, around the deeper one).
+        depths = sorted(cache)
+        i = bisect_left(depths, depth)
+        if i:
+            iv = iv.intersection(cache[depths[i - 1]])
+        if i < len(depths):
+            iv = iv.hull(cache[depths[i]])
+        cache[depth] = iv
         return iv
 
     def width_at(self, depth: int) -> Fraction:

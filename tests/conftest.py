@@ -10,6 +10,9 @@ import pytest
 from hypothesis import settings
 
 import eudoxos as E
+from eudoxos.angles import _cos_interval_of_dir
+from eudoxos.archimedes import half_cos, half_sin, pi_interval, precision_denominator
+from eudoxos.intervals import Interval, sqrt_interval
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -41,6 +44,41 @@ def assert_contains_value(iv, target_float: float, slack: float = 1e-9):
 
 def assert_contains_fraction(iv, target: Fraction):
     assert iv.lo <= target <= iv.hi, f"{target} outside {iv}"
+
+
+def halved_sincos(cos0: Interval, halvings: int, den: int) -> tuple[Interval, Interval]:
+    """(sin, cos) of t/2^halvings from an interval for cos(t), t in (0, pi).
+
+    Recomputes every halving from cos0 on each call.
+    """
+    if halvings == 0:
+        csq = cos0 * cos0
+        csq = Interval(max(Fraction(0), csq.lo), min(Fraction(1), csq.hi))
+        return sqrt_interval(Interval(1 - csq.hi, 1 - csq.lo), den), cos0
+    prev = cos0
+    for _ in range(halvings - 1):
+        prev = half_cos(prev, den)
+    return half_sin(prev, den), half_cos(prev, den)
+
+
+def per_depth_turn(pi_multiple, direction, sector: bool, r, depth: int) -> Interval:
+    """Turn-enclosure oracle: pi_multiple*pi plus the arc (or sector) bounds of
+    a direction on radius r, from fresh halvings at precision_denominator(depth)."""
+    r = Fraction(r)
+    den = precision_denominator(depth)
+    cos0 = _cos_interval_of_dir(direction, den)
+    if sector:
+        s_j, _ = halved_sincos(cos0, depth, den)
+        s_j1, c_j1 = halved_sincos(cos0, depth + 1, den)
+        bounds = Interval(
+            Fraction(1 << depth, 2) * r * r * s_j.lo,
+            (1 << depth) * r * r * (s_j1.hi / c_j1.lo),
+        )
+    else:
+        s, c = halved_sincos(cos0, depth + 1, den)
+        chords = (1 << (depth + 1)) * r
+        bounds = Interval(chords * s.lo, chords * (s.hi / c.lo))
+    return pi_interval(depth).scale(pi_multiple) + bounds
 
 
 def random_fraction(rng: random.Random, max_num: int = 50) -> Fraction:

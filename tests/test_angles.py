@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eudoxos as E
-from conftest import assert_contains_value
+from conftest import assert_contains_value, per_depth_turn
 from eudoxos.angles import AngleValue
 from eudoxos.archimedes import pi_interval
 
@@ -184,6 +184,48 @@ class TestMeasures:
             cur = m.at(depth)
             assert prev.encloses(cur)
             prev = cur
+
+    @pytest.mark.parametrize("windings", [0, 1])
+    @pytest.mark.parametrize("p", [(0, 1), (3, 4), (2, 1), (1, 7), (-1, 3), (-5, 2)])
+    def test_turn_enclosures_match_per_depth_oracle(self, p, windings):
+        # a single query rounds exactly as fresh halvings at that depth's
+        # denominator; walked and deepest-first queries lie inside them
+        a = E.angle_from_points((1, 0), (0, 0), p, windings=windings)
+        r = Fraction(7, 3)
+        series = [
+            (lambda: E.measure_m(a).value, 2 * windings, False, 1),
+            (lambda: E.measure_mu(a).value, windings, True, 1),
+            (lambda: E.arc_sup_b(E.Arc.from_angle(r, a)), 2 * r * windings, False, r),
+        ]
+        depths = range(17)
+        for make, pi_multiple, sector, radius in series:
+            oracle = [per_depth_turn(pi_multiple, a.direction(), sector, radius, d) for d in depths]
+            assert [make().at(d) for d in depths] == oracle
+            walked, deepest_first = make(), make()
+            assert all(oracle[d].encloses(walked.at(d)) for d in depths)
+            assert all(oracle[d].encloses(deepest_first.at(d)) for d in reversed(depths))
+
+    def test_walk_halves_linearly(self, monkeypatch):
+        # one halving chain per enclosure: a walk to depth d halves O(d)
+        # times, where recomputing every depth's chain costs O(d^2)
+        from eudoxos import archimedes
+
+        pi_interval(41)  # the pi table halves too; build it before counting
+        calls = 0
+
+        def counted(fn):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(archimedes, "half_cos", counted(archimedes.half_cos))
+        monkeypatch.setattr(archimedes, "half_sin", counted(archimedes.half_sin))
+        m = E.measure_m(E.angle_from_points((1, 0), (0, 0), (2, 3)))
+        for depth in range(41):
+            m.at(depth)
+        assert calls <= 4 * 41
 
     def test_unit_conversions(self):
         m = E.measure_m(E.right_angle())

@@ -1,13 +1,19 @@
 """Cross-module identities tying measures, ratios, and enclosures together."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import eudoxos as E
-from eudoxos.archimedes import arc_length_bounds, sector_area_bounds
+from eudoxos.archimedes import (
+    HalvingChain,
+    arc_length_bounds,
+    precision_denominator,
+    sector_area_bounds,
+)
 from eudoxos.angles import _cos_interval_of_dir
-from eudoxos.archimedes import precision_denominator
 
 
 def test_scale_half_of_m_ratio_realizes_mu():
@@ -71,14 +77,16 @@ def test_exhaustion_rate():
     for target in (Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**6)):
         for depth in range(40):
             den = precision_denominator(depth)
-            iv = sector_area_bounds(_cos_interval_of_dir(direction, den), 1, depth)
+            chain = HalvingChain(_cos_interval_of_dir(direction, den), den)
+            iv = sector_area_bounds(chain, 1, depth)
             if iv.width < target:
                 break
         else:
             pytest.fail(f"sector bounds never tightened below {target}")
         for depth in range(40):
             den = precision_denominator(depth)
-            iv = arc_length_bounds(_cos_interval_of_dir(direction, den), 1, depth)
+            chain = HalvingChain(_cos_interval_of_dir(direction, den), den)
+            iv = arc_length_bounds(chain, 1, depth)
             if iv.width < target:
                 break
         else:
@@ -108,3 +116,36 @@ def test_region_kind_embedding_of_polygons():
     assert E.compare(
         as_region, E.region_magnitude(E.Region([E.unit_square()]))
     ) is E.Comparison.GREATER
+
+
+_NON_SQUARES = (2, 3, 5, 6, 7, 8, 10, 11)
+
+
+def _lattice_angle(x: int, y: int, windings: int) -> E.Angle:
+    return E.angle_from_points((1, 0), (0, 0), (x, y), windings)
+
+
+_ENCLOSURE_FAMILIES = {
+    "m": lambda k: E.measure_m(_lattice_angle(k - 3, 2, k % 2)).value,
+    "mu": lambda k: E.measure_mu(_lattice_angle(3 - k, 1 + k % 3, k % 2)).value,
+    "cos": lambda k: E.cos_analytic(k + 5),
+    "asin": lambda k: E.asin_integral(Fraction(k + 1, 9)),
+    "to_real": lambda k: E.to_real(
+        E.ratio(E.segment_sqrt(_NON_SQUARES[k]), E.segment_rational(1))
+    ),
+}
+
+
+@example(family="cos", k=6, order=[1, 0])
+@given(
+    family=st.sampled_from(sorted(_ENCLOSURE_FAMILIES)),
+    k=st.integers(0, 7),
+    order=st.lists(st.integers(0, 8), min_size=2, max_size=9, unique=True),
+)
+def test_queries_in_any_depth_order_nest(family, k, order):
+    # the depth cache stays a nested chain whatever order depths are asked in
+    enc = _ENCLOSURE_FAMILIES[family](k)
+    seen = {d: enc.at(d) for d in order}
+    for shallow, deep in combinations(sorted(seen), 2):
+        assert seen[shallow].encloses(seen[deep]), (family, k, order, shallow, deep)
+    assert all(enc.at(d) is seen[d] for d in order)
