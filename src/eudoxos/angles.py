@@ -17,7 +17,10 @@ Measures: m(a) is the arc-to-radius enclosure (unit d, the radian), mu(a) the
 sector-to-square enclosure (unit e), computed from chord/tangent and
 triangle-fan/tangent-kite sums respectively; m = 2 mu holds at every depth,
 whence e = 2d.  The analytic sine inverts the certified integral
-of 1/sqrt(1-t^2) by bisection and never consults arc length.
+of 1/sqrt(1-t^2) by bisection and never consults arc length.  The integral
+is summed as the term-wise integral of the integrand's binomial series,
+x * sum C(2k,k)/4^k * x^(2k)/(2k+1), in directed integer arithmetic with a
+bounded geometric tail, so depth d certifies about 2d + 48 bits.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .archimedes import (
@@ -521,11 +524,22 @@ def _asin_square(x: AsinArg) -> tuple[Fraction, AsinArg]:
 def asin_integral(x: AsinArg, depth: Optional[int] = None) -> RealEnclosure:
     """Certified enclosure of the integral of 1/sqrt(1-t^2) from 0 to x.
 
-    For x^2 <= 1/2 the integrand is increasing and bounded, so left/right
-    Riemann sums with outward-rounded root reciprocals bracket the value; for
-    x^2 > 1/2 the complement identity asin(x) = pi/2 - asin(sqrt(1-x^2))
+    For x^2 = p/q <= 1/2 the integrand is the binomial series
+    sum a_k t^(2k), a_k = C(2k,k)/4^k, and its term-wise integral is
+    x * sum a_k x^(2k)/(2k+1).  Neither arc length nor any trigonometric
+    identity enters, so the sine inverted from it stays circularity-free.
+    Depth d sums in integers at the unit 2^(48+2d) << 4 (the rounding grid
+    of x's root plus 4 guard bits that absorb the rounding of the terms).
+    t_k = a_k x^(2k) = t_(k-1) * (2k-1)p / (2kq) is rounded down for the lower
+    sum and up for the upper sum, and so is t_k/(2k+1).  Once the upper t_k
+    is at most 2k+1 units, summing stops: the terms fall at least by
+    p/q <= 1/2 per step, so the tail is below t_k * p / ((q-p)(2k+3)), and
+    that plus one unit is added to the upper sum.  Depth d so certifies
+    about 2d + 48 bits with O(d) terms.
+    For x^2 > 1/2 the complement identity asin(x) = pi/2 - asin(sqrt(1-x^2))
     avoids the singular endpoint.  Accepts a rational x or a SqrtRational
-    (a number given by its exact square).
+    (a number given by its exact square), whose root is bounded at
+    denominator 2^(48+2d).
     """
     sq, xv = _asin_square(x)
     if not (0 < sq < 1):
@@ -545,32 +559,24 @@ def asin_integral(x: AsinArg, depth: Optional[int] = None) -> RealEnclosure:
     p, q = sq.numerator, sq.denominator
 
     def refine(d: int) -> Interval:
-        cells = 1 << d
         den = 1 << (48 + 2 * d)
-        den_sq = den * den
-        nn_q = cells * cells * q
-        b_scaled = nn_q * den_sq
-        lo_sum = 0
-        hi_sum = 0
-        for i in range(cells + 1):
-            a_i = nn_q - i * i * p  # positive: t_i <= x <= 1/sqrt(2)
-            if i < cells:
-                lo_sum += isqrt(b_scaled // a_i)
-            if i > 0:
-                t = -(-b_scaled // a_i)
-                r = isqrt(t)
-                if r * r < t:
-                    r += 1
-                hi_sum += r
+        one = den << 4
+        term_lo = term_hi = one  # t_k in units of 1/one, rounded down and up
+        lo_sum = hi_sum = one
+        k = 0
+        while term_hi > 2 * k + 1:
+            k += 1
+            term_lo = term_lo * (2 * k - 1) * p // (2 * k * q)
+            term_hi = -(-term_hi * (2 * k - 1) * p // (2 * k * q))
+            lo_sum += term_lo // (2 * k + 1)
+            hi_sum += -(-term_hi // (2 * k + 1))
+        hi_sum += term_hi * p // ((q - p) * (2 * k + 3)) + 1
         if isinstance(xv, SqrtRational):
             x_iv = xv.bounds(den)
             x_lo, x_hi = x_iv.lo, x_iv.hi
         else:
             x_lo = x_hi = xv
-        return Interval(
-            Fraction(lo_sum, den) * x_lo / cells,
-            Fraction(hi_sum, den) * x_hi / cells,
-        )
+        return Interval(Fraction(lo_sum, one) * x_lo, Fraction(hi_sum, one) * x_hi)
 
     enc = RealEnclosure(refine, name="asin")
     if depth is not None:

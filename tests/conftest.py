@@ -12,7 +12,7 @@ from hypothesis import settings
 import eudoxos as E
 from eudoxos.angles import _cos_interval_of_dir
 from eudoxos.archimedes import half_cos, half_sin, pi_interval, precision_denominator
-from eudoxos.intervals import Interval, sqrt_interval
+from eudoxos.intervals import Interval, exact_sqrt, sqrt_interval
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -79,6 +79,44 @@ def per_depth_turn(pi_multiple, direction, sector: bool, r, depth: int) -> Inter
         chords = (1 << (depth + 1)) * r
         bounds = Interval(chords * s.lo, chords * (s.hi / c.lo))
     return pi_interval(depth).scale(pi_multiple) + bounds
+
+
+def riemann_asin(x, d: int) -> Interval:
+    """Riemann-sum oracle for the integral of 1/sqrt(1-t^2) from 0 to x.
+
+    x is a rational or an ``E.SqrtRational``.  For x^2 <= 1/2, left and right
+    sums over 2^d cells of the increasing integrand, with outward-rounded root
+    reciprocals at denominator 2^(48+2d); above, the complement identity
+    asin(x) = pi/2 - asin(sqrt(1-x^2)).  Costs 2^(d+1) integer square roots.
+    """
+    if isinstance(x, E.SqrtRational):
+        sq = x.square
+    else:
+        x = Fraction(x)
+        sq = x * x
+    if sq > Fraction(1, 2):
+        comp = 1 - sq
+        root = exact_sqrt(comp)
+        inner = riemann_asin(root if root is not None else E.SqrtRational(comp), d)
+        return pi_interval(d).scale(Fraction(1, 2)) - inner
+    p, q = sq.numerator, sq.denominator
+    cells = 1 << d
+    den = 1 << (48 + 2 * d)
+    nn_q = cells * cells * q
+    b_scaled = nn_q * den * den
+    lo_sum = hi_sum = 0
+    for i in range(cells + 1):
+        a_i = nn_q - i * i * p  # positive: t_i <= x <= 1/sqrt(2)
+        if i < cells:
+            lo_sum += math.isqrt(b_scaled // a_i)
+        if i > 0:
+            t = -(-b_scaled // a_i)
+            r = math.isqrt(t)
+            hi_sum += r + (r * r < t)
+    x_iv = x.bounds(den) if isinstance(x, E.SqrtRational) else Interval.point(x)
+    return Interval(
+        Fraction(lo_sum, den) * x_iv.lo / cells, Fraction(hi_sum, den) * x_iv.hi / cells
+    )
 
 
 def random_fraction(rng: random.Random, max_num: int = 50) -> Fraction:

@@ -52,6 +52,26 @@ def test_sin_nested_across_depths(capsys):
     assert lo1 <= lo2 and hi2 <= hi1
 
 
+def test_asin_readme_example(capsys):
+    code, out, _ = run(capsys, "asin", "1/2", "--square", "--depth", "14")
+    assert code == 0
+    assert out.startswith("0.785398")
+    # pi to 50 decimals, rounded down: pi lies in [PI50, PI50 + 10^-50]
+    pi50 = Fraction("3.14159265358979323846264338327950288419716939937510")
+    values = []
+    for depth in ("14", "15"):
+        code, out, _ = run(capsys, "asin", "1/2", "--square", "--depth", depth,
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        values.append(
+            (Fraction(payload["value"]["lo"]), Fraction(payload["value"]["hi"]))
+        )
+    (lo1, hi1), (lo2, hi2) = values
+    assert lo1 <= pi50 / 4 and (pi50 + Fraction(1, 10**50)) / 4 <= hi1
+    assert lo1 <= lo2 and hi2 <= hi1
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "sin", "1/2", "--depth", "8", "--format", "json")
     _, out2, _ = run(capsys, "sin", "1/2", "--depth", "8", "--format", "json")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import eudoxos as E
-from conftest import assert_contains_value, bisect_root
+from conftest import assert_contains_value, bisect_root, riemann_asin
 from eudoxos.archimedes import pi_interval
 from eudoxos.enclosures import RealEnclosure
 
@@ -77,6 +77,58 @@ class TestAsinIntegral:
             cur = enc.at(d)
             assert prev.encloses(cur)
             prev = cur
+
+
+ASIN_GRID = [
+    Fraction(1, 2**60), Fraction(1, 2**30), Fraction(1, 1000),
+    Fraction(1, 3), Fraction(1, 2), Fraction(7, 10), Fraction(4, 5),
+    Fraction(9, 10), Fraction(99, 100),
+    E.SqrtRational(Fraction(1, 2)), E.SqrtRational(Fraction(1, 3)),
+    E.SqrtRational(Fraction(2, 3)), E.SqrtRational(Fraction(1, 2**40)),
+]
+
+
+class TestAsinSeries:
+    @pytest.mark.parametrize("x", ASIN_GRID, ids=str)
+    def test_never_wider_than_riemann_sum(self, x):
+        for d in range(15):
+            series = E.asin_integral(x).at(d)
+            cells = riemann_asin(x, d)
+            assert series.intersects(cells), (d, series, cells)
+            assert series.width <= cells.width, d
+
+    def test_deep_query_beyond_any_cell_count(self):
+        # the Riemann sum would need 2^60 cells here
+        iv = E.asin_integral(E.SqrtRational(Fraction(1, 2))).at(60)
+        assert iv.width <= Fraction(1, 2**150)
+        assert iv.scale(4).intersects(pi_interval(60))
+
+
+class TestTrigPrecision:
+    """Widths only, no timing.  These arguments have sines near short dyadics
+    (cos 29 = -0.748..., sin 11/3 = sin 0.525... = 0.501...), where a
+    bisection whose probes cannot separate keeps a coarse bracket."""
+
+    STALLED = [
+        (E.cos_analytic, Fraction(29)),
+        (E.sin_analytic, Fraction(11, 3)),
+        (E.sin_analytic, Fraction(18)),
+    ]
+
+    @pytest.mark.parametrize("fn, x", STALLED, ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_no_stall_at_depth_12(self, fn, x):
+        assert fn(x).at(12).width <= Fraction(1, 2**12)
+
+    @pytest.mark.parametrize(
+        "fn, x",
+        STALLED + [(E.sin_analytic, Fraction(1)), (E.cos_analytic, Fraction(1))],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_53_bits_at_depth_53(self, fn, x):
+        iv = fn(x).at(53)
+        assert iv.width <= Fraction(1, 2**53)
+        ref = math.sin if fn is E.sin_analytic else math.cos
+        assert_contains_value(iv, ref(float(x)))
 
 
 class TestAnalyticSine:
