@@ -15,12 +15,11 @@ base-2 positional measurement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .enclosures import RealEnclosure
 from .errors import KindMismatchError, NotArchimedeanError
@@ -31,13 +30,13 @@ from .kinds import (
     DEFAULT_RESOLUTION,
     Magnitude,
     Resolution,
-    compare,
     kmul,
     magnitude_enclosure,
     magnitude_exact,
     naturals,
     segment_from_enclosure,
     segment_rational,
+    total_order,
 )
 
 DEFAULT_SEARCH_BOUND = 10_000
@@ -101,46 +100,69 @@ def cut_member(r: Ratio, m: int, n: int, res: Resolution = DEFAULT_RESOLUTION) -
     return _side_fn(r, res)(m, n)
 
 
-def _side_of_fraction(f: Fraction, v: Fraction) -> CutSide:
-    if f < v:
-        return CutSide.BELOW
-    if f > v:
-        return CutSide.ABOVE
-    return CutSide.BOUNDARY
+_SIDE_OF_COMPARISON = {
+    Comparison.LESS: CutSide.BELOW,
+    Comparison.EQUAL: CutSide.BOUNDARY,
+    Comparison.GREATER: CutSide.ABOVE,
+    Comparison.INDISTINGUISHABLE: CutSide.UNKNOWN,
+}
 
 
 def _side_fn(r: Ratio, res: Resolution) -> Callable[[int, int], CutSide]:
-    """Cheapest sound placement oracle for fractions against the ratio."""
+    """One placement oracle for fractions m/n against the ratio at ``res``.
+
+    What does not change between queries is settled once, so a scan builds
+    one oracle per ratio and places each m/n in integers:
+
+    * an exact value p/q compares m*q with n*p;
+    * exact-compare kinds (lex pairs, angles) compare the equimultiples
+      m*den and n*num with the kind's own operations;
+    * other kinds read the value enclosure, resuming at the deepest depth
+      reached so far (read lazily, never ahead of a query).  A walk from
+      depth 0 would pass only depths wider than eps, and cached depths
+      nest, so the deepest one places m/n on the same side: a placement
+      costs O(1) amortized depths.  UNKNOWN means m/n lies in an interval
+      narrower than eps, or in the one at the depth cap.
+    """
     v = exact_value(r)
     if v is not None:
-        return lambda m, n: _side_of_fraction(Fraction(m, n), v)
+        p, q = v.numerator, v.denominator
+        return lambda m, n: _SIDE_OF_COMPARISON[total_order(m * q, n * p)]
 
-    def side_magnitudes(m: int, n: int) -> CutSide:
-        c = compare(kmul(m, r.den), kmul(n, r.num), res)
-        return {
-            Comparison.LESS: CutSide.BELOW,
-            Comparison.EQUAL: CutSide.BOUNDARY,
-            Comparison.GREATER: CutSide.ABOVE,
-            Comparison.INDISTINGUISHABLE: CutSide.UNKNOWN,
-        }[c]
+    ops = kinds.ops_for(r.num.kind)
+    enc = None if ops.exact_compare else value_enclosure(r)
+    if enc is None:
+        num, den = r.num.payload, r.den.payload
 
-    if kinds.ops_for(r.num.kind).exact_compare:
+        def side_magnitudes(m: int, n: int) -> CutSide:
+            x = den if m == 1 else ops.kmul(m, den)
+            y = num if n == 1 else ops.kmul(n, num)
+            return _SIDE_OF_COMPARISON[ops.compare(x, y, res)]
+
         return side_magnitudes
-    enc = value_enclosure(r)
-    if enc is not None:
-        def side(m: int, n: int) -> CutSide:
-            f = Fraction(m, n)
-            for depth in range(res.depth_cap + 1):
-                iv = enc.at(depth)
-                if f < iv.lo:
-                    return CutSide.BELOW
-                if f > iv.hi:
-                    return CutSide.ABOVE
-                if iv.width < res.eps:
-                    return CutSide.UNKNOWN
-            return CutSide.UNKNOWN
-        return side
-    return side_magnitudes
+
+    eps, cap = res.eps, res.depth_cap
+    reached = None  # (depth, lo.num, lo.den, hi.num, hi.den, interval) of the deepest depth
+
+    def reach(depth: int) -> tuple:
+        iv = enc.at(depth)
+        return depth, iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator, iv
+
+    def side_enclosure(m: int, n: int) -> CutSide:
+        nonlocal reached
+        if reached is None:
+            reached = reach(0)
+        while True:
+            depth, a, b, c, d, iv = reached
+            if m * b < n * a:
+                return CutSide.BELOW
+            if m * d > n * c:
+                return CutSide.ABOVE
+            if depth == cap or iv.width < eps:
+                return CutSide.UNKNOWN
+            reached = reach(depth + 1)
+
+    return side_enclosure
 
 
 def _hull(r: Ratio, probe_depth: int = 16) -> Optional[Interval]:
@@ -170,16 +192,16 @@ class ProportionVerdict:
         return self.outcome is Proportionality.PROPORTIONAL
 
 
-def _candidate_range(s: int, window: Optional[Interval], bound: int) -> Iterable[int]:
-    """m values with m+n=s whose fraction m/(s-m) may fall inside window."""
-    m_lo, m_hi = 1, s - 1
-    m_lo = max(m_lo, s - bound)  # n <= bound
-    m_hi = min(m_hi, bound)      # m <= bound
+def _candidate_range(s: int, window: Optional[tuple[int, int, int, int]], bound: int) -> range:
+    """m values with m+n=s whose fraction m/(s-m) may fall inside the window
+    a/b..c/d, given as the integers (a, a+b, c, c+d)."""
+    m_lo = max(1, s - bound)  # n <= bound
+    m_hi = min(s - 1, bound)  # m <= bound
     if window is not None:
-        a, b = window.lo, window.hi
-        # m/(s-m) >= a  <=>  m >= a*s/(1+a);   m/(s-m) <= b  <=>  m <= b*s/(1+b)
-        m_lo = max(m_lo, math.ceil(a * s / (1 + a)))
-        m_hi = min(m_hi, math.floor(b * s / (1 + b)))
+        a, ab, c, cd = window
+        # m/(s-m) >= a/b  <=>  m >= a*s/(a+b);   m/(s-m) <= c/d  <=>  m <= c*s/(c+d)
+        m_lo = max(m_lo, -(-a * s // ab))
+        m_hi = min(m_hi, c * s // cd)
     return range(m_lo, m_hi + 1)
 
 
@@ -195,9 +217,14 @@ def _witness_scan(
     Returns the least pair whose two definite sides are ``decisive`` and the
     least pair before it on which a side stayed UNKNOWN (None when absent).
     """
+    cuts = None
+    if window is not None:
+        lo, hi = max(window.lo, 0), window.hi  # ratio values are positive
+        cuts = (lo.numerator, lo.numerator + lo.denominator,
+                hi.numerator, hi.numerator + hi.denominator)
     first_unknown: Optional[tuple[int, int]] = None
     for s in range(2, 2 * bound + 1):
-        for p in _candidate_range(s, window, bound):
+        for p in _candidate_range(s, cuts, bound):
             q = s - p
             c1, c2 = side1(p, q), side2(p, q)
             if c1 is CutSide.UNKNOWN or c2 is CutSide.UNKNOWN:

@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import Callable, Iterable, Optional
 
 import pytest
 from hypothesis import settings
 
 import eudoxos as E
+from eudoxos import kinds, positional, ratios
 from eudoxos.angles import _cos_interval_of_dir
 from eudoxos.archimedes import half_cos, half_sin, pi_interval, precision_denominator
 from eudoxos.intervals import Interval, exact_sqrt, sqrt_interval
+from eudoxos.kinds import Comparison, Resolution, compare, kmul
+from eudoxos.ratios import CutSide, Ratio, exact_value, value_enclosure
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -117,6 +122,106 @@ def riemann_asin(x, d: int) -> Interval:
     return Interval(
         Fraction(lo_sum, den) * x_iv.lo / cells, Fraction(hi_sum, den) * x_iv.hi / cells
     )
+
+
+# -- the walking cut oracle ------------------------------------------------------
+#
+# A reference for ``ratios._side_fn`` and ``ratios._witness_scan``: every
+# placement walks the value enclosure from depth 0 and compares Fractions,
+# and the candidate window is bounded in Fraction arithmetic.
+# ``walking_cut_oracle`` swaps these in for the library's own.
+
+def _side_of_fraction(f: Fraction, v: Fraction) -> CutSide:
+    if f < v:
+        return CutSide.BELOW
+    if f > v:
+        return CutSide.ABOVE
+    return CutSide.BOUNDARY
+
+
+def _side_fn(r: Ratio, res: Resolution) -> Callable[[int, int], CutSide]:
+    """Cheapest sound placement oracle for fractions against the ratio."""
+    v = exact_value(r)
+    if v is not None:
+        return lambda m, n: _side_of_fraction(Fraction(m, n), v)
+
+    def side_magnitudes(m: int, n: int) -> CutSide:
+        c = compare(kmul(m, r.den), kmul(n, r.num), res)
+        return {
+            Comparison.LESS: CutSide.BELOW,
+            Comparison.EQUAL: CutSide.BOUNDARY,
+            Comparison.GREATER: CutSide.ABOVE,
+            Comparison.INDISTINGUISHABLE: CutSide.UNKNOWN,
+        }[c]
+
+    if kinds.ops_for(r.num.kind).exact_compare:
+        return side_magnitudes
+    enc = value_enclosure(r)
+    if enc is not None:
+        def side(m: int, n: int) -> CutSide:
+            f = Fraction(m, n)
+            for depth in range(res.depth_cap + 1):
+                iv = enc.at(depth)
+                if f < iv.lo:
+                    return CutSide.BELOW
+                if f > iv.hi:
+                    return CutSide.ABOVE
+                if iv.width < res.eps:
+                    return CutSide.UNKNOWN
+            return CutSide.UNKNOWN
+        return side
+    return side_magnitudes
+
+
+def _candidate_range(s: int, window: Optional[Interval], bound: int) -> Iterable[int]:
+    """m values with m+n=s whose fraction m/(s-m) may fall inside window."""
+    m_lo, m_hi = 1, s - 1
+    m_lo = max(m_lo, s - bound)  # n <= bound
+    m_hi = min(m_hi, bound)      # m <= bound
+    if window is not None:
+        a, b = window.lo, window.hi
+        # m/(s-m) >= a  <=>  m >= a*s/(1+a);   m/(s-m) <= b  <=>  m <= b*s/(1+b)
+        m_lo = max(m_lo, math.ceil(a * s / (1 + a)))
+        m_hi = min(m_hi, math.floor(b * s / (1 + b)))
+    return range(m_lo, m_hi + 1)
+
+
+def _witness_scan(
+    side1: Callable[[int, int], CutSide],
+    side2: Callable[[int, int], CutSide],
+    window: Optional[Interval],
+    bound: int,
+    decisive: Callable[[CutSide, CutSide], bool],
+) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
+    """Scan fractions p/q (p, q <= bound, inside window) by p+q, then p.
+
+    Returns the least pair whose two definite sides are ``decisive`` and the
+    least pair before it on which a side stayed UNKNOWN (None when absent).
+    """
+    first_unknown: Optional[tuple[int, int]] = None
+    for s in range(2, 2 * bound + 1):
+        for p in _candidate_range(s, window, bound):
+            q = s - p
+            c1, c2 = side1(p, q), side2(p, q)
+            if c1 is CutSide.UNKNOWN or c2 is CutSide.UNKNOWN:
+                if first_unknown is None:
+                    first_unknown = (p, q)
+                continue
+            if decisive(c1, c2):
+                return (p, q), first_unknown
+    return None, first_unknown
+
+
+
+
+@contextmanager
+def walking_cut_oracle():
+    """Place cuts and scan for witnesses with the walking copies above."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratios, "_side_fn", _side_fn)
+        mp.setattr(ratios, "_witness_scan", _witness_scan)
+        mp.setattr(positional, "_side_fn", _side_fn)
+        yield
 
 
 def random_fraction(rng: random.Random, max_num: int = 50) -> Fraction:
