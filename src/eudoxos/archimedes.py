@@ -42,30 +42,43 @@ def half_sin(c: Interval, den: int) -> Interval:
 
 
 class HalvingChain:
-    """cos(t/2^k) for k = 0, 1, ... of one angle t in (0, pi), at one denominator.
+    """sin and cos of t/2^k for k = 0, 1, ... of one angle t in (0, pi), at one denominator.
 
-    Levels are computed on first request and kept as a tuple that is
-    replaced, never appended to, so every reader sees a consistent prefix.
+    Cosines are computed level by level on first request and kept as a tuple.
+    The sine cache is per level: a sine is computed only for a level asked
+    for, and kept in a dict keyed by level, so a point query computes only the
+    sines it reads and a walk computes each level's sine once.  Both caches
+    are replaced, never appended to or mutated in place, so every reader sees
+    a consistent prefix of cosines and a consistent set of sines.
     """
 
-    __slots__ = ("den", "_cos")
+    __slots__ = ("den", "_cos", "_sin")
 
     def __init__(self, cos0: Interval, den: int):
         self.den = den
         self._cos = (cos0,)
+        self._sin: dict[int, Interval] = {}
 
     def sincos(self, k: int) -> tuple[Interval, Interval]:
         """(sin, cos) of t/2^k."""
+        if k < 0:
+            raise ValueError("halving level must be non-negative")
         levels = self._cos
         if k >= len(levels):
             grown = list(levels)
             while len(grown) <= k:
                 grown.append(half_cos(grown[-1], self.den))
             levels = self._cos = tuple(grown)
-        if k == 0:
-            csq = _clamp01(levels[0] * levels[0])
-            return sqrt_interval(Interval(1 - csq.hi, 1 - csq.lo), self.den), levels[0]
-        return half_sin(levels[k - 1], self.den), levels[k]
+        sines = self._sin
+        s = sines.get(k)
+        if s is None:
+            if k == 0:
+                csq = _clamp01(levels[0] * levels[0])
+                s = sqrt_interval(Interval(1 - csq.hi, 1 - csq.lo), self.den)
+            else:
+                s = half_sin(levels[k - 1], self.den)
+            self._sin = {**sines, k: s}
+        return s, levels[k]
 
 
 # sin/cos of pi/(6*2^n), index n, level n rounded at precision_denominator(n).

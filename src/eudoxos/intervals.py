@@ -23,8 +23,11 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # Fraction(x) copies even a Fraction, and nearly every endpoint is one
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
 
@@ -89,13 +92,15 @@ class Interval:
         return Interval(min(quotients), max(quotients))
 
     def scale(self, factor: Rat) -> "Interval":
-        factor = Fraction(factor)
+        if type(factor) is not Fraction:
+            factor = Fraction(factor)
         if factor >= 0:
             return Interval(self.lo * factor, self.hi * factor)
         return Interval(self.hi * factor, self.lo * factor)
 
     def shift(self, offset: Rat) -> "Interval":
-        offset = Fraction(offset)
+        if type(offset) is not Fraction:
+            offset = Fraction(offset)
         return Interval(self.lo + offset, self.hi + offset)
 
     def __str__(self) -> str:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eudoxos as E
-from conftest import assert_contains_value, per_depth_turn
+from conftest import assert_contains_value, halved_sincos, per_depth_turn
 from eudoxos.angles import AngleValue
-from eudoxos.archimedes import pi_interval
+from eudoxos.archimedes import HalvingChain, pi_interval, precision_denominator
+from eudoxos.intervals import Interval
 
 
 def angle_float(a: E.Angle) -> float:
@@ -205,27 +206,120 @@ class TestMeasures:
             assert all(oracle[d].encloses(walked.at(d)) for d in depths)
             assert all(oracle[d].encloses(deepest_first.at(d)) for d in reversed(depths))
 
-    def test_walk_halves_linearly(self, monkeypatch):
-        # one halving chain per enclosure: a walk to depth d halves O(d)
-        # times, where recomputing every depth's chain costs O(d^2)
+    @staticmethod
+    def _count_halvings(monkeypatch) -> dict:
         from eudoxos import archimedes
 
-        pi_interval(41)  # the pi table halves too; build it before counting
-        calls = 0
+        pi_interval(42)  # the pi table halves too; build it before counting
+        calls = {"half_cos": 0, "half_sin": 0}
 
-        def counted(fn):
+        def counted(name):
+            fn = getattr(archimedes, name)
+
             def wrapper(*args):
-                nonlocal calls
-                calls += 1
+                calls[name] += 1
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(archimedes, "half_cos", counted(archimedes.half_cos))
-        monkeypatch.setattr(archimedes, "half_sin", counted(archimedes.half_sin))
+        for name in calls:
+            monkeypatch.setattr(archimedes, name, counted(name))
+        return calls
+
+    def test_walk_halves_linearly(self, monkeypatch):
+        # one halving chain per enclosure: a walk to depth d halves O(d)
+        # times, where recomputing every depth's chain costs O(d^2)
+        calls = self._count_halvings(monkeypatch)
         m = E.measure_m(E.angle_from_points((1, 0), (0, 0), (2, 3)))
         for depth in range(41):
             m.at(depth)
-        assert calls <= 4 * 41
+        assert sum(calls.values()) <= 4 * 41
+
+    def test_chain_computes_each_sine_once(self, monkeypatch):
+        # sector bounds read levels d and d+1 of the chain: a walk computes
+        # each level's sine once per chain build, not twice per depth (81),
+        # and a point query still computes only the two sines it reads
+        calls = self._count_halvings(monkeypatch)
+        a = E.angle_from_points((1, 0), (0, 0), (2, 3))
+        mu = E.measure_mu(a)
+        for depth in range(41):
+            mu.at(depth)
+        assert calls["half_sin"] <= 48
+        assert calls["half_cos"] == 104
+        calls.update(half_cos=0, half_sin=0)
+        E.measure_mu(a).at(40)
+        assert calls == {"half_cos": 41, "half_sin": 2}
+
+    @pytest.mark.parametrize("p", [(2, 3), (-5, 2)])
+    def test_chain_cache_matches_recomputed_sines(self, monkeypatch, p):
+        # walked and deepest-first series are the same intervals when every
+        # (sin, cos) pair is recomputed from the chain's cos(t) on each read
+        from eudoxos import angles
+
+        class RecomputingChain(HalvingChain):
+            def sincos(self, k):
+                return halved_sincos(self._cos[0], k, self.den)
+
+        a = E.angle_from_points((1, 0), (0, 0), p, windings=1)
+        r = Fraction(7, 3)
+        makers = [lambda: E.measure_mu(a).value, lambda: E.arc_sup_b(E.Arc.from_angle(r, a))]
+        depths = range(20)
+
+        def series():
+            out = []
+            for make in makers:
+                walked, deepest_first = make(), make()
+                out.append([walked.at(d) for d in depths])
+                out.append([deepest_first.at(d) for d in reversed(depths)])
+            return out
+
+        cached = series()
+        monkeypatch.setattr(angles, "HalvingChain", RecomputingChain)
+        assert series() == cached
+
+    def test_chain_rejects_negative_levels(self):
+        den = 1 << 64
+        cos0 = Interval(Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(ValueError):
+            HalvingChain(cos0, den).sincos(-1)
+        grown, fresh = HalvingChain(cos0, den), HalvingChain(cos0, den)
+        grown.sincos(5)
+        for k in (-1, -5, -6):
+            with pytest.raises(ValueError):
+                grown.sincos(k)
+        assert all(k >= 0 for k in grown._sin)
+        assert [grown.sincos(k) for k in range(7)] == [fresh.sincos(k) for k in range(7)]
+
+    def test_shared_chain_under_threads(self):
+        # readers racing on one chain may compute a level twice, but every
+        # pair they read is the one a chain read alone gives
+        import sys
+        import threading
+
+        den = precision_denominator(12)
+        cos0 = Interval(Fraction(3, 5), Fraction(3, 5))
+        expected = [HalvingChain(cos0, den).sincos(k) for k in range(30)]
+        shared = HalvingChain(cos0, den)
+        wrong = []
+
+        def reader(seed):
+            for i in range(200):
+                k = (seed * 7 + i * 13) % 30
+                if shared.sincos(k) != expected[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert set(shared._sin) <= set(range(30))
 
     def test_unit_conversions(self):
         m = E.measure_m(E.right_angle())

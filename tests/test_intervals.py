@@ -1,5 +1,6 @@
 """Interval arithmetic and directed-rounded square roots."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -77,3 +78,43 @@ def test_scale_and_shift():
     iv = Interval(Fraction(1), Fraction(3))
     assert iv.scale(-2) == Interval(Fraction(-6), Fraction(-2))
     assert iv.shift(Fraction(1, 2)) == Interval(Fraction(3, 2), Fraction(7, 2))
+
+
+class _Third(Fraction):
+    """A Fraction subclass, which an endpoint must not keep."""
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 2), (0.5, 2.25), (_Third(1, 3), _Third(2, 3)), (-1, Fraction(1, 3))])
+def test_endpoints_are_plain_fractions(lo, hi):
+    iv = Interval(lo, hi)
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    assert (iv.lo, iv.hi) == (Fraction(lo), Fraction(hi))
+    point = Interval.point(lo)
+    assert type(point.lo) is Fraction and type(point.hi) is Fraction
+
+
+def test_interval_contract():
+    a = Interval(Fraction(1, 3), Fraction(1, 2))
+    b = Interval(_Third(2, 6), 0.5)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Interval(Fraction(1, 3), Fraction(1, 2))}) == 1
+    with pytest.raises(ValueError):
+        Interval(Fraction(1, 2), _Third(1, 3))
+    with pytest.raises(ValueError):
+        Interval(1, 0.5)
+    with pytest.raises(FrozenInstanceError):
+        a.lo = Fraction(0)
+    with pytest.raises(FrozenInstanceError):
+        a.hi = Fraction(1)
+
+
+@pytest.mark.parametrize("k", [-3, -1, 0, 1, 2, 7])
+def test_scale_and_shift_by_int(k):
+    iv = Interval(Fraction(-1, 3), Fraction(5, 2))
+    scaled, shifted = iv.scale(k), iv.shift(k)
+    assert scaled == iv.scale(Fraction(k))
+    assert shifted == iv.shift(Fraction(k))
+    assert (scaled.lo, scaled.hi) == tuple(sorted((iv.lo * k, iv.hi * k)))
+    assert (shifted.lo, shifted.hi) == (iv.lo + k, iv.hi + k)
+    for end in (scaled.lo, scaled.hi, shifted.lo, shifted.hi):
+        assert type(end) is Fraction
