@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import EudoxosError, IndistinguishableError, NotArchimedeanError
 from .intervals import Interval
@@ -97,20 +97,26 @@ def measure_positional(
         raise ValueError("base must be at least 2")
     r = Ratio(b, u)
 
-    # one oracle for the whole stream: each digit's finer eps resumes it
-    # at the deepest depth the coarser digits before it reached
-    side = _side_fn(r, res)
+    # one oracle per digit, all sharing the deepest depth read: each digit's
+    # finer eps resumes where the coarser digits before it stopped
+    reached: list = [None]
 
-    def place(m: int, n: int, res: Resolution = res) -> CutSide:
-        g = math.gcd(m, n)
-        s = side(m // g, n // g, res)
-        if s is CutSide.UNKNOWN:
-            raise IndistinguishableError(
-                "digit undetermined at this resolution; measure with a finer one"
-            )
-        return s
+    def placer(eps: Fraction) -> Callable[[int, int], CutSide]:
+        side = _side_fn(r, Resolution(eps), reached)
+
+        def place(m: int, n: int) -> CutSide:
+            g = math.gcd(m, n)
+            s = side(m // g, n // g)
+            if s is CutSide.UNKNOWN:
+                raise IndistinguishableError(
+                    "digit undetermined at this resolution; measure with a finer one"
+                )
+            return s
+
+        return place
 
     # Integer part: unique n0 with n0*u <= b < (n0+1)*u, and whether b hits it.
+    place = placer(res.eps)
     lo, hi, exact = 0, 1, False
     for _ in range(256):
         s = place(hi, 1)
@@ -131,11 +137,11 @@ def measure_positional(
         num, den = lo, 1  # the partial sum num/den, den = base**i
         while True:
             num, den = num * base, den * base
-            digit_res = Resolution(res.eps / den)
+            place = placer(res.eps / den)
             d_lo, d_hi, last = 0, base - 1, False  # num + d_lo is not above
             while d_lo < d_hi:
                 mid = (d_lo + d_hi + 1) // 2
-                s = place(num + mid, den, digit_res)
+                s = place(num + mid, den)
                 if s is CutSide.ABOVE:
                     d_hi = mid - 1
                 else:

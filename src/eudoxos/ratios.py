@@ -108,7 +108,9 @@ _SIDE_OF_COMPARISON = {
 }
 
 
-def _side_fn(r: Ratio, res: Resolution) -> Callable[..., CutSide]:
+def _side_fn(
+    r: Ratio, res: Resolution, reached: Optional[list] = None
+) -> Callable[[int, int], CutSide]:
     """One placement oracle for fractions m/n against the ratio at ``res``.
 
     What does not change between queries is settled once, so a scan builds
@@ -124,48 +126,51 @@ def _side_fn(r: Ratio, res: Resolution) -> Callable[..., CutSide]:
       costs O(1) amortized depths.  UNKNOWN means m/n lies in an interval
       narrower than eps, or in the one at the depth cap.
 
-    A query may pass its own resolution as a third argument; positional
-    digits pass eps/base^i.  Resuming stays sound while each query's eps is
-    the one before divided by an integer: eps is then no coarser and its
-    depth cap no lower, so every depth passed before was wider than the new
-    eps and below the new cap, and a walk from depth 0 would pass it too.
+    Oracles for one ratio may share ``reached``, a one-element list that
+    holds the deepest depth read; a positional stream builds one oracle per
+    digit at eps/base^i and shares it.  Resuming stays sound while each
+    oracle's eps is the one before divided by an integer: eps is then no
+    coarser and its depth cap no lower, so every depth passed before was
+    wider than the new eps and below the new cap, and a walk from depth 0
+    would pass it too.
     """
     v = exact_value(r)
     if v is not None:
         p, q = v.numerator, v.denominator
-        return lambda m, n, res=res: _SIDE_OF_COMPARISON[total_order(m * q, n * p)]
+        return lambda m, n: _SIDE_OF_COMPARISON[total_order(m * q, n * p)]
 
     ops = kinds.ops_for(r.num.kind)
     enc = None if ops.exact_compare else value_enclosure(r)
     if enc is None:
         num, den = r.num.payload, r.den.payload
 
-        def side_magnitudes(m: int, n: int, res: Resolution = res) -> CutSide:
+        def side_magnitudes(m: int, n: int) -> CutSide:
             x = den if m == 1 else ops.kmul(m, den)
             y = num if n == 1 else ops.kmul(n, num)
             return _SIDE_OF_COMPARISON[ops.compare(x, y, res)]
 
         return side_magnitudes
 
-    reached = None  # (depth, lo.num, lo.den, hi.num, hi.den, interval) of the deepest depth
+    eps, cap = res.eps, res.depth_cap
+    if reached is None:
+        reached = [None]  # (depth, lo.num, lo.den, hi.num, hi.den, interval) of the deepest depth
 
     def reach(depth: int) -> tuple:
         iv = enc.at(depth)
-        return depth, iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator, iv
+        reached[0] = depth, iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator, iv
+        return reached[0]
 
-    def side_enclosure(m: int, n: int, res: Resolution = res) -> CutSide:
-        nonlocal reached
-        if reached is None:
-            reached = reach(0)
+    def side_enclosure(m: int, n: int) -> CutSide:
+        deepest = reached[0] or reach(0)
         while True:
-            depth, a, b, c, d, iv = reached
+            depth, a, b, c, d, iv = deepest
             if m * b < n * a:
                 return CutSide.BELOW
             if m * d > n * c:
                 return CutSide.ABOVE
-            if depth == res.depth_cap or iv.width < res.eps:
+            if depth >= cap or iv.width < eps:
                 return CutSide.UNKNOWN
-            reached = reach(depth + 1)
+            deepest = reach(depth + 1)
 
     return side_enclosure
 

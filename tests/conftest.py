@@ -139,13 +139,14 @@ def _side_of_fraction(f: Fraction, v: Fraction) -> CutSide:
     return CutSide.BOUNDARY
 
 
-def _side_fn(r: Ratio, res: Resolution) -> Callable[..., CutSide]:
-    """Cheapest sound placement oracle for fractions against the ratio."""
+def _side_fn(r: Ratio, res: Resolution, reached=None) -> Callable[[int, int], CutSide]:
+    """Cheapest sound placement oracle for fractions against the ratio
+    (``reached`` is ignored: every placement walks from depth 0)."""
     v = exact_value(r)
     if v is not None:
-        return lambda m, n, res=res: _side_of_fraction(Fraction(m, n), v)
+        return lambda m, n: _side_of_fraction(Fraction(m, n), v)
 
-    def side_magnitudes(m: int, n: int, res: Resolution = res) -> CutSide:
+    def side_magnitudes(m: int, n: int) -> CutSide:
         c = compare(kmul(m, r.den), kmul(n, r.num), res)
         return {
             Comparison.LESS: CutSide.BELOW,
@@ -158,7 +159,7 @@ def _side_fn(r: Ratio, res: Resolution) -> Callable[..., CutSide]:
         return side_magnitudes
     enc = value_enclosure(r)
     if enc is not None:
-        def side(m: int, n: int, res: Resolution = res) -> CutSide:
+        def side(m: int, n: int) -> CutSide:
             f = Fraction(m, n)
             for depth in range(res.depth_cap + 1):
                 iv = enc.at(depth)

@@ -143,6 +143,28 @@ def test_oracle_resumes_at_its_deepest_depth(monkeypatch):
     assert at_calls <= queries + 2 * cap
 
 
+def test_shared_depth_stops_at_a_lower_cap():
+    # oracles sharing the deepest depth read: one at a coarser resolution,
+    # built after a finer one walked past its cap, stops there at once
+    # instead of walking on until its wider eps is met
+    read = []
+
+    def refine(d):
+        read.append(d)
+        return Interval(F(3, 2) - F(1, d + 1), F(3, 2) + F(1, d + 1))
+
+    slow = E.RealEnclosure(refine)
+    r = E.ratio(E.segment_from_enclosure(slow), E.segment_rational(1))
+    fine, coarse = E.Resolution(F(1, 2**40)), E.Resolution(F(1, 1000))
+    reached = [None]
+    assert ratios._side_fn(r, fine, reached)(3, 2) is E.CutSide.UNKNOWN
+    assert max(read) == fine.depth_cap > coarse.depth_cap
+    before = len(read)
+    assert ratios._side_fn(r, coarse, reached)(3, 2) is E.CutSide.UNKNOWN
+    assert ratios._side_fn(r, coarse, reached)(1, 1) is E.CutSide.BELOW
+    assert len(read) == before
+
+
 @pytest.mark.parametrize("lo_offset", [F(2**20), F(4, 3) * 2**16])
 def test_window_below_zero_still_scans(lo_offset):
     # a valid enclosure of 1/3 whose depth-16 hull reaches below -1 (or to

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import eudoxos as E
 from conftest import bisect_root
+from eudoxos import positional
 from eudoxos.positional import decimal_display
 
 
@@ -145,10 +146,10 @@ def test_decimal_display():
     assert decimal_display(E.Interval(Fraction(1, 2), Fraction(3, 2))) in ("", "0...", "1...")
 
 
-def test_one_oracle_per_stream(monkeypatch):
-    # each digit's finer eps resumes the stream's one cut oracle where the
-    # digits before it stopped, instead of walking the value enclosure from
-    # depth 0 again (which made 497 calls for these 40 digits)
+def test_digit_oracles_share_the_deepest_depth(monkeypatch):
+    # each digit's oracle at its finer eps resumes where the digits before
+    # it stopped, instead of walking the value enclosure from depth 0 again
+    # (which made 497 calls for these 40 digits)
     calls = 0
     at = E.RealEnclosure.at
 
@@ -157,7 +158,16 @@ def test_one_oracle_per_stream(monkeypatch):
         calls += 1
         return at(self, depth)
 
+    # an oracle is called with (m, n) only, so a wrapper taking just those
+    # two (as a run-time tracer's does) must keep working
+    side_fn = positional._side_fn
+
+    def two_argument_side_fn(*args, **kwargs):
+        oracle = side_fn(*args, **kwargs)
+        return lambda m, n: oracle(m, n)
+
     monkeypatch.setattr(E.RealEnclosure, "at", counted)
+    monkeypatch.setattr(positional, "_side_fn", two_argument_side_fn)
     disk = E.region_magnitude(E.Region([E.disk((0, 0), 1)]))
     square = E.region_magnitude(E.Region([E.unit_square()]))
     s = E.measure_positional(disk, square, base=2)
