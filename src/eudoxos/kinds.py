@@ -76,7 +76,8 @@ class Resolution:
     def depth_cap(self) -> int:
         # Refinement depths to try before giving up; generators in this
         # library shrink at least geometrically, so the cap is generous.
-        return max(8, self.eps.denominator.bit_length() + 32)
+        # It reads the size of 1/eps, so a coarser eps never walks deeper.
+        return max(8, (self.eps.denominator // self.eps.numerator).bit_length() + 32)
 
 
 DEFAULT_RESOLUTION = Resolution(Fraction(1, 2**53))

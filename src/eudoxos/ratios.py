@@ -3,10 +3,11 @@
 The cut of a ratio x:y is the set of positive fractions m/n with m*y <= n*x,
 an initial segment of the positive rationals.  Proportion (``eq_E``) compares
 the full trichotomy of equimultiple outcomes; cut equality (``eq_L``) compares
-membership only.  Both are semi-decided by a bounded witness search over pairs
-(m, n) ordered by m+n then m; on enclosure-backed kinds individual comparisons
-may stay unknown at the working resolution, in which case the verdict is
-honestly Undecided.
+membership only.  Both, and the order ``less_E``, are semi-decided by the least
+pair (m, n), m, n <= bound, by m+n then m, that tells the ratios apart; a
+Stern–Brocot descent finds it with O(log bound) cut placements.  On
+enclosure-backed kinds individual comparisons may stay unknown at the working
+resolution; when such a pair comes first the verdict is honestly Undecided.
 
 ``to_real`` is the order embedding into real enclosures: rational-valued
 ratios map to exact points, all others to the nested brackets of their
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 from .enclosures import RealEnclosure
@@ -129,10 +130,9 @@ def _side_fn(
     Oracles for one ratio may share ``reached``, a one-element list that
     holds the deepest depth read; a positional stream builds one oracle per
     digit at eps/base^i and shares it.  Resuming stays sound while each
-    oracle's eps is the one before divided by an integer: eps is then no
-    coarser and its depth cap no lower, so every depth passed before was
-    wider than the new eps and below the new cap, and a walk from depth 0
-    would pass it too.
+    oracle's eps is no coarser than the one before: its depth cap is then no
+    lower, so every depth passed before was wider than the new eps and below
+    the new cap, and a walk from depth 0 would pass it too.
     """
     v = exact_value(r)
     if v is not None:
@@ -202,48 +202,126 @@ class ProportionVerdict:
         return self.outcome is Proportionality.PROPORTIONAL
 
 
-def _candidate_range(s: int, window: Optional[tuple[int, int, int, int]], bound: int) -> range:
-    """m values with m+n=s whose fraction m/(s-m) may fall inside the window
-    a/b..c/d, given as the integers (a, a+b, c, c+d)."""
-    m_lo = max(1, s - bound)  # n <= bound
-    m_hi = min(s - 1, bound)  # m <= bound
-    if window is not None:
-        a, ab, c, cd = window
-        # m/(s-m) >= a/b  <=>  m >= a*s/(a+b);   m/(s-m) <= c/d  <=>  m <= c*s/(c+d)
-        m_lo = max(m_lo, -(-a * s // ab))
-        m_hi = min(m_hi, c * s // cd)
-    return range(m_lo, m_hi + 1)
+def _simplest(
+    toward: Callable[[int, int], Optional[int]],
+    bound: int,
+    limit: Optional[tuple[int, int]] = None,
+) -> Optional[tuple[int, int]]:
+    """The simplest fraction p/q that ``toward`` seeks, by Stern–Brocot descent.
+
+    ``toward(p, q)`` is 0 when p/q is sought, +1 or -1 when all that is
+    sought lies above or below p/q, and None when nothing is; what is
+    sought must be an interval.  The simplest fraction of an interval has
+    the least p and the least q in it (Graham, Knuth and Patashnik,
+    *Concrete Mathematics*, section 4.5), so it is the least by (p+q, p);
+    None unless it has p, q <= bound and (p+q, p) < limit.  A run of moves
+    one way is galloped (doubled until it ends, then bisected), so the
+    descent places O(log bound) fractions.
+    """
+    a, b, c, d = 0, 1, 1, 0  # what is sought lies strictly between a/b and c/d
+
+    def move(p: int, q: int) -> Optional[int]:
+        if p > bound or q > bound or (limit is not None and (p + q, p) >= limit):
+            return None
+        return toward(p, q)
+
+    while True:
+        t = move(a + c, b + d)
+        if not t:
+            return None if t is None else (a + c, b + d)
+        # the run's k-th node is (p0 + k*dp)/(q0 + k*dq); node 1 moves by t
+        (p0, q0), (dp, dq) = ((a, b), (c, d)) if t > 0 else ((c, d), (a, b))
+        k, j = 1, 2
+        while move(p0 + j * dp, q0 + j * dq) == t:
+            k, j = j, 2 * j
+        while j - k > 1:
+            mid = (k + j) // 2
+            if move(p0 + mid * dp, q0 + mid * dq) == t:
+                k = mid
+            else:
+                j = mid
+        if t > 0:
+            a, b = p0 + k * dp, q0 + k * dq
+        else:
+            c, d = p0 + k * dp, q0 + k * dq
 
 
-def _witness_scan(
-    side1: Callable[[int, int], CutSide],
-    side2: Callable[[int, int], CutSide],
+_TOWARD_UNKNOWN = {
+    CutSide.BELOW: 1,
+    CutSide.ABOVE: -1,
+    CutSide.UNKNOWN: 0,
+    CutSide.BOUNDARY: None,
+}
+
+
+def _pull(c1: CutSide, c2: CutSide) -> Optional[int]:
+    """eq_E and eq_L off a witness: where any witness lies from p/q.
+
+    Below p/q a BELOW side stays BELOW, and a BOUNDARY or UNKNOWN side is
+    BELOW or UNKNOWN; above, mirrored.  So with a side BELOW and none ABOVE
+    every witness lies above p/q, with a side ABOVE and none BELOW below it,
+    and with neither there is none.
+    """
+    pull = (c1 is CutSide.BELOW) + (c2 is CutSide.BELOW) - (c1 is CutSide.ABOVE) - (c2 is CutSide.ABOVE)
+    return (pull > 0) - (pull < 0) or None
+
+
+def _witness_search(
+    r1: Ratio,
+    r2: Ratio,
+    res: Resolution,
     window: Optional[Interval],
     bound: int,
     decisive: Callable[[CutSide, CutSide], bool],
+    steer: Callable[[CutSide, CutSide], Optional[int]],
 ) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
-    """Scan fractions p/q (p, q <= bound, inside window) by p+q, then p.
+    """The least event among pairs (p, q), p, q <= bound, p/q in the window,
+    ordered by p+q then p.
 
-    Returns the least pair whose two definite sides are ``decisive`` and the
-    least pair before it on which a side stayed UNKNOWN (None when absent).
+    An event is a witness (both sides definite and ``decisive``) or an
+    unknown (a side UNKNOWN).  Returns the least witness and the least
+    unknown before it (None when absent), as a scan in that order would.
+
+    Each oracle is monotone in p/q, so each event set is an interval and
+    its least pair is its simplest fraction: the witnesses lie between the
+    two cut values, and a side's unknowns in the enclosure interval where
+    its walk stops (none for exact oracles).  Every set has a descent:
+    ``steer`` says, for sides that make no witness (one UNKNOWN, or both
+    definite and not decisive), whether the witnesses lie above (+1),
+    below (-1) or nowhere (None).  Oracles are pure functions of p/q, so
+    one placement serves all descents.
     """
-    cuts = None
+    side1, side2 = cache(_side_fn(r1, res)), cache(_side_fn(r2, res))
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0  # the window in integers; 1/0 for none
     if window is not None:
         lo, hi = max(window.lo, 0), window.hi  # ratio values are positive
-        cuts = (lo.numerator, lo.numerator + lo.denominator,
-                hi.numerator, hi.numerator + hi.denominator)
-    first_unknown: Optional[tuple[int, int]] = None
-    for s in range(2, 2 * bound + 1):
-        for p in _candidate_range(s, cuts, bound):
-            q = s - p
-            c1, c2 = side1(p, q), side2(p, q)
-            if c1 is CutSide.UNKNOWN or c2 is CutSide.UNKNOWN:
-                if first_unknown is None:
-                    first_unknown = (p, q)
-                continue
-            if decisive(c1, c2):
-                return (p, q), first_unknown
-    return None, first_unknown
+        lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
+    def seek(judge: Callable[[int, int], Optional[int]], limit=None) -> Optional[tuple[int, int]]:
+        def toward(p: int, q: int) -> Optional[int]:
+            if p * lo_d < q * lo_n:
+                return 1
+            if p * hi_d > q * hi_n:
+                return -1
+            return judge(p, q)
+
+        return _simplest(toward, bound, limit)
+
+    def witness_at(p: int, q: int) -> Optional[int]:
+        c1, c2 = side1(p, q), side2(p, q)
+        if CutSide.UNKNOWN in (c1, c2) or not decisive(c1, c2):
+            return steer(c1, c2)
+        return 0
+
+    witness = seek(witness_at)
+    unknown = None
+    for r, side in ((r1, side1), (r2, side2)):
+        if exact_value(r) is None and not kinds.ops_for(r.num.kind).exact_compare:
+            least = unknown or witness
+            found = seek(lambda p, q, side=side: _TOWARD_UNKNOWN[side(p, q)],
+                         least and (least[0] + least[1], least[0]))
+            unknown = found or unknown
+    return witness, unknown
 
 
 def _proportion_scan(
@@ -256,9 +334,7 @@ def _proportion_scan(
     """Shared witness search; ``differ`` judges a pair of definite sides."""
     h1, h2 = _hull(r1), _hull(r2)
     window = h1.hull(h2) if (h1 is not None and h2 is not None) else None
-    witness, unknown = _witness_scan(
-        _side_fn(r1, res), _side_fn(r2, res), window, search_bound, differ
-    )
+    witness, unknown = _witness_search(r1, r2, res, window, search_bound, differ, _pull)
     if unknown is not None:
         return ProportionVerdict(Proportionality.UNDECIDED, undecided_at=unknown)
     if witness is not None:
@@ -323,9 +399,13 @@ def less_E(
         if h1.lo > h2.hi:
             return LessVerdict(LessOutcome.NOT_LESS)  # r1 certainly above r2
         window = Interval(h1.lo, h2.hi)
-    witness, unknown = _witness_scan(
-        _side_fn(r2, res), _side_fn(r1, res), window, search_bound,
+    witness, unknown = _witness_search(
+        r2, r1, res, window, search_bound,
         lambda c2, c1: c2 is CutSide.BELOW and c1 is not CutSide.BELOW,
+        # off a witness: r2's side BELOW leaves r1's BELOW or UNKNOWN, as it
+        # is everywhere below, so witnesses lie above; r1's side ABOVE leaves
+        # r2's not BELOW, as it is everywhere above, so they lie below
+        lambda c2, c1: 1 if c2 is CutSide.BELOW else -1 if c1 is CutSide.ABOVE else None,
     )
     if unknown is not None:
         return LessVerdict(LessOutcome.UNDECIDED, undecided_at=unknown[::-1])

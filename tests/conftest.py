@@ -6,7 +6,7 @@ import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import pytest
 from hypothesis import settings
@@ -124,12 +124,12 @@ def riemann_asin(x, d: int) -> Interval:
     )
 
 
-# -- the walking cut oracle ------------------------------------------------------
+# -- the walking cut oracle and the linear witness scan --------------------------
 #
-# A reference for ``ratios._side_fn`` and ``ratios._witness_scan``: every
+# References for ``ratios._side_fn`` and ``ratios._witness_search``: every
 # placement walks the value enclosure from depth 0 and compares Fractions,
-# and the candidate window is bounded in Fraction arithmetic.
-# ``walking_cut_oracle`` swaps these in for the library's own.
+# and the scan visits every pair (p, q) in the hull window by p+q, then p.
+# ``linear_witness_scan`` swaps in the scan, ``walking_cut_oracle`` both.
 
 def _side_of_fraction(f: Fraction, v: Fraction) -> CutSide:
     if f < v:
@@ -174,34 +174,43 @@ def _side_fn(r: Ratio, res: Resolution, reached=None) -> Callable[[int, int], Cu
     return side_magnitudes
 
 
-def _candidate_range(s: int, window: Optional[Interval], bound: int) -> Iterable[int]:
-    """m values with m+n=s whose fraction m/(s-m) may fall inside window."""
-    m_lo, m_hi = 1, s - 1
-    m_lo = max(m_lo, s - bound)  # n <= bound
-    m_hi = min(m_hi, bound)      # m <= bound
+def _candidate_range(s: int, window: Optional[tuple[int, int, int, int]], bound: int) -> range:
+    """m values with m+n=s whose fraction m/(s-m) may fall inside the window
+    a/b..c/d, given as the integers (a, a+b, c, c+d)."""
+    m_lo = max(1, s - bound)  # n <= bound
+    m_hi = min(s - 1, bound)  # m <= bound
     if window is not None:
-        a, b = window.lo, window.hi
-        # m/(s-m) >= a  <=>  m >= a*s/(1+a);   m/(s-m) <= b  <=>  m <= b*s/(1+b)
-        m_lo = max(m_lo, math.ceil(a * s / (1 + a)))
-        m_hi = min(m_hi, math.floor(b * s / (1 + b)))
+        a, ab, c, cd = window
+        # m/(s-m) >= a/b  <=>  m >= a*s/(a+b);   m/(s-m) <= c/d  <=>  m <= c*s/(c+d)
+        m_lo = max(m_lo, -(-a * s // ab))
+        m_hi = min(m_hi, c * s // cd)
     return range(m_lo, m_hi + 1)
 
 
 def _witness_scan(
-    side1: Callable[[int, int], CutSide],
-    side2: Callable[[int, int], CutSide],
+    r1: Ratio,
+    r2: Ratio,
+    res: Resolution,
     window: Optional[Interval],
     bound: int,
     decisive: Callable[[CutSide, CutSide], bool],
+    steer=None,
 ) -> tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]:
     """Scan fractions p/q (p, q <= bound, inside window) by p+q, then p.
 
     Returns the least pair whose two definite sides are ``decisive`` and the
     least pair before it on which a side stayed UNKNOWN (None when absent).
+    ``steer`` is the descent's and is not read.
     """
+    side1, side2 = ratios._side_fn(r1, res), ratios._side_fn(r2, res)
+    cuts = None
+    if window is not None:
+        lo, hi = max(window.lo, 0), window.hi  # ratio values are positive
+        cuts = (lo.numerator, lo.numerator + lo.denominator,
+                hi.numerator, hi.numerator + hi.denominator)
     first_unknown: Optional[tuple[int, int]] = None
     for s in range(2, 2 * bound + 1):
-        for p in _candidate_range(s, window, bound):
+        for p in _candidate_range(s, cuts, bound):
             q = s - p
             c1, c2 = side1(p, q), side2(p, q)
             if c1 is CutSide.UNKNOWN or c2 is CutSide.UNKNOWN:
@@ -213,14 +222,19 @@ def _witness_scan(
     return None, first_unknown
 
 
+@contextmanager
+def linear_witness_scan():
+    """Search for witnesses with the linear scan above."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratios, "_witness_search", _witness_scan)
+        yield
 
 
 @contextmanager
 def walking_cut_oracle():
-    """Place cuts and scan for witnesses with the walking copies above."""
-    with pytest.MonkeyPatch.context() as mp:
+    """Place cuts with the walking oracle and scan linearly for witnesses."""
+    with pytest.MonkeyPatch.context() as mp, linear_witness_scan():
         mp.setattr(ratios, "_side_fn", _side_fn)
-        mp.setattr(ratios, "_witness_scan", _witness_scan)
         mp.setattr(positional, "_side_fn", _side_fn)
         yield
 

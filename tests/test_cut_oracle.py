@@ -1,11 +1,13 @@
 """The resumable cut oracle against the walking oracle it replaced."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 import eudoxos as E
-from conftest import walking_cut_oracle
+from conftest import linear_witness_scan, walking_cut_oracle
 from eudoxos import ratios
 from eudoxos.intervals import Interval
 
@@ -108,37 +110,32 @@ def test_resumable_oracle_matches_walking_oracle():
 
 
 def test_oracle_resumes_at_its_deepest_depth(monkeypatch):
-    # √2:1 and √8:2 by their binary measurements: the √ enclosures are 2^-48
-    # wide from depth 0, so their own window holds no pair to scan, while
-    # these keep it 2^-16 wide and make each query refine
+    # √2:1 and √8:2 by their binary measurements, which start wide and
+    # refine one digit per depth; a fixed sweep of fractions on both sides
+    # of √2, each nearer than the one before, makes the walk go deep
     def binary(num, den):
         return E.ratio(E.segment_from_enclosure(E.to_real(E.ratio(num, den))), E.segment_rational(1))
 
     r1 = binary(E.segment_sqrt(2), E.segment_rational(1))
     r2 = binary(E.segment_sqrt(8), E.segment_rational(2))
-    at_calls = queries = 0
+    at_calls, deepest = 0, 0
     for enc in (r1._enclosure, r2._enclosure):
         def at(depth, at=enc.at):
-            nonlocal at_calls
-            at_calls += 1
+            nonlocal at_calls, deepest
+            at_calls, deepest = at_calls + 1, max(deepest, depth)
             return at(depth)
         monkeypatch.setattr(enc, "at", at, raising=False)
 
-    side_fn = ratios._side_fn
-
-    def counted_side_fn(r, res):
-        oracle = side_fn(r, res)
-
-        def counted(m, n):
-            nonlocal queries
-            queries += 1
-            return oracle(m, n)
-        return counted
-
-    monkeypatch.setattr(ratios, "_side_fn", counted_side_fn)
-    assert E.eq_E(r1, r2, 10**4).is_proportional
+    oracles = [ratios._side_fn(r, E.DEFAULT_RESOLUTION) for r in (r1, r2)]
+    queries = 0
+    for n in range(1, 2001):
+        m = math.isqrt(2 * n * n)
+        for oracle in oracles:
+            assert oracle(m, n) is E.CutSide.BELOW
+            assert oracle(m + 1, n) is E.CutSide.ABOVE
+            queries += 2
     cap = E.DEFAULT_RESOLUTION.depth_cap
-    assert queries > 4 * cap
+    assert queries > 4 * cap and deepest >= 20
     # walking from depth 0 on every query made about 19 calls per query
     assert at_calls <= queries + 2 * cap
 
@@ -178,3 +175,101 @@ def test_window_below_zero_still_scans(lo_offset):
         assert v.outcome is E.Proportionality.NOT_PROPORTIONAL and v.witness == (1, 1)
     v = E.less_E(r, five, 100)
     assert v.outcome is E.LessOutcome.LESS and v.witness == (1, 1)
+
+
+def _verdicts(bound: int) -> list:
+    """eq_E, eq_L and less_E over fresh ratios of the family, in one order."""
+    out = []
+    for res in RESOLUTIONS:
+        rs = family()
+        for name1, r1 in rs.items():
+            for name2, r2 in rs.items():
+                for verdict in (E.eq_E, E.eq_L, E.less_E):
+                    out.append((verdict.__name__, name1, name2, res.eps, bound,
+                                _answer(verdict, r1, r2, bound, res)))
+    return out
+
+
+@pytest.mark.parametrize("bound", [30, 200])
+def test_descent_matches_linear_scan(bound):
+    with linear_witness_scan():
+        scanned = _verdicts(bound)
+    descended = _verdicts(bound)
+    assert len(descended) == len(scanned) == len(RESOLUTIONS) * 15 * 15 * 3
+    for old, new in zip(scanned, descended):
+        assert new == old
+    outcomes = {rec[-1].outcome for rec in scanned}
+    assert {E.Proportionality.UNDECIDED, E.LessOutcome.UNDECIDED, E.LessOutcome.LESS} <= outcomes
+
+
+_NAT = st.integers(1, 40)
+_SMALL = st.integers(0, 6)
+_LEX = st.tuples(_SMALL, _SMALL).filter(lambda p: p != (0, 0))
+_RATIO = st.one_of(
+    st.tuples(st.just("naturals"), _NAT, _NAT),
+    st.tuples(st.just("sqrt"), _NAT, _NAT),
+    st.tuples(st.just("lex"), _LEX, _LEX),
+)
+
+
+def _build(spec) -> E.Ratio:
+    kind, a, b = spec
+    if kind == "naturals":
+        return E.ratio(E.naturals(a), E.naturals(b))
+    if kind == "sqrt":
+        return E.ratio(E.segment_sqrt(a), E.segment_sqrt(b))
+    return E.ratio(E.lex_pair(*a), E.lex_pair(*b))
+
+
+@given(
+    spec1=_RATIO,
+    spec2=_RATIO,
+    verdict=st.sampled_from([E.eq_E, E.eq_L, E.less_E]),
+    res=st.sampled_from(RESOLUTIONS),
+    bound=st.sampled_from([12, 60]),
+)
+def test_descent_matches_linear_scan_on_random_ratios(spec1, spec2, verdict, res, bound):
+    with linear_witness_scan():
+        scanned = _answer(verdict, _build(spec1), _build(spec2), bound, res)
+    assert _answer(verdict, _build(spec1), _build(spec2), bound, res) == scanned
+
+
+def _lex_ratio(num, den):
+    return E.ratio(E.lex_pair(*num), E.lex_pair(*den))
+
+
+@pytest.mark.parametrize("ask, want", [
+    pytest.param(
+        lambda b: E.less_E(_lex_ratio((3, 0), (1, 0)), _lex_ratio((1, 0), (1, 0)), b),
+        E.LessVerdict(E.LessOutcome.NOT_LESS), id="less_E lex (3,0):(1,0) vs (1,0):(1,0)"),
+    pytest.param(
+        lambda b: E.eq_L(_lex_ratio((1, 3), (2, 0)), _lex_ratio((1, 0), (2, 0)), b),
+        E.ProportionVerdict(E.Proportionality.PROPORTIONAL), id="eq_L lex (1,3):(2,0) vs (1,0):(2,0)"),
+    pytest.param(
+        lambda b: E.eq_E(E.ratio(E.naturals(1), E.naturals(5000)),
+                         E.ratio(E.naturals(1), E.naturals(5001)), b),
+        E.ProportionVerdict(E.Proportionality.NOT_PROPORTIONAL, witness=(1, 5000)),
+        id="eq_E 1:5000 vs 1:5001"),
+    pytest.param(
+        lambda b: E.eq_E(E.ratio(E.segment_sqrt(2), E.segment_rational(1)),
+                         E.ratio(E.segment_sqrt(8), E.segment_rational(2)), b),
+        E.ProportionVerdict(E.Proportionality.PROPORTIONAL), id="eq_E sqrt2:1 vs sqrt8:2"),
+])
+def test_descent_places_logarithmically_many_fractions(monkeypatch, ask, want):
+    # a scan by m+n places up to bound^2 fractions here (10^8 for the lex
+    # pairs, whose ratios have no hull window)
+    placements = 0
+    side_fn = ratios._side_fn
+
+    def counted_side_fn(r, res, reached=None):
+        oracle = side_fn(r, res, reached)
+
+        def counted(m, n):
+            nonlocal placements
+            placements += 1
+            return oracle(m, n)
+        return counted
+
+    monkeypatch.setattr(ratios, "_side_fn", counted_side_fn)
+    assert ask(10**4) == want
+    assert placements <= 200

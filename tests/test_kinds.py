@@ -74,6 +74,17 @@ def test_compare_indistinguishable_on_equal_value_enclosures():
     assert E.compare(a, a, res) is E.Comparison.EQUAL
 
 
+def test_depth_cap_never_rises_as_eps_grows():
+    grid = sorted({Fraction(1, 10**6), Fraction(3, 2**20), Fraction(1, 2), Fraction(999, 1000),
+                   Fraction(1, 2**53), Fraction(2, 3), Fraction(1), Fraction(5, 2), Fraction(7)}
+                  | {Fraction(p, q) for p in range(1, 40) for q in range(1, 40)})
+    caps = [E.Resolution(eps).depth_cap for eps in grid]
+    assert all(a >= b for a, b in zip(caps, caps[1:]))
+    # every eps = 1/n keeps the cap it had when the cap read eps's denominator
+    for n in (1, 2, 3, 10, 1000, 3**7, 10**6, 2**53):
+        assert E.Resolution(Fraction(1, n)).depth_cap == max(8, n.bit_length() + 32)
+
+
 def test_sub_examples():
     assert E.sub(E.naturals(5), E.naturals(2)).payload == 3
     assert E.sub(E.polygon_class(1), E.polygon_class(Fraction(1, 4))).payload == Fraction(3, 4)
