@@ -83,10 +83,10 @@ class Angle:
 
     def __post_init__(self):
         if self.windings < 0:
-            raise ValueError("windings must be non-negative")
+            raise DomainError("windings must be non-negative")
         if self.arm1 is None:
             if self.windings == 0:
-                raise ValueError("angle must have arms or whole turns")
+                raise DomainError("angle must have arms or whole turns")
             return
         if self.arm1 > self.arm2:
             first, second = self.arm2, self.arm1

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosures import RealEnclosure
+from .errors import DomainError
 from .intervals import Interval, Rat, sqrt_interval
 
 _PREC_BASE = 64
@@ -62,7 +63,7 @@ class HalvingChain:
     def sincos(self, k: int) -> tuple[Interval, Interval]:
         """(sin, cos) of t/2^k."""
         if k < 0:
-            raise ValueError("halving level must be non-negative")
+            raise DomainError("halving level must be non-negative")
         levels = self._cos
         if k >= len(levels):
             grown = list(levels)
@@ -129,7 +130,7 @@ def pi_enclosure(depth: int) -> PiEnclosure:
     circumscribed square (the all-rational start).  Enclosures nest.
     """
     if depth < 0:
-        raise ValueError("depth must be non-negative")
+        raise DomainError("depth must be non-negative")
     while len(_pi_cache) <= depth:
         n = len(_pi_cache)
         sides = 6 * (1 << n)
@@ -166,9 +167,9 @@ def inscribed_outer_bounds(
     """
     r = Fraction(r)
     if r <= 0:
-        raise ValueError("radius must be positive")
+        raise DomainError("radius must be positive")
     if n < 0:
-        raise ValueError("doubling depth must be non-negative")
+        raise DomainError("doubling depth must be non-negative")
     sides = 6 * (1 << n)
     s, c = _sincos(n)
     tan_hi = s.hi / c.lo

@@ -24,6 +24,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+from .errors import DomainError
 from .intervals import Interval, Rat
 
 
@@ -47,7 +48,7 @@ class RealEnclosure:
 
     def at(self, depth: int) -> Interval:
         if depth < 0:
-            raise ValueError("depth must be non-negative")
+            raise DomainError("depth must be non-negative")
         cache = self._cache
         if depth in cache:
             return cache[depth]

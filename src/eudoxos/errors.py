@@ -41,8 +41,12 @@ class NotAcuteError(EudoxosError):
     """Operation requires an acute angle."""
 
 
-class DomainError(EudoxosError):
-    """Numeric argument outside the operation's domain."""
+class DomainError(EudoxosError, ValueError):
+    """Numeric argument outside the operation's domain.
+
+    Also a ``ValueError``, so callers that catch the built-in argument error
+    keep catching it.
+    """
 
 
 class EmptyArcError(EudoxosError):

@@ -29,6 +29,7 @@ from typing import Any, Optional
 
 from .enclosures import RealEnclosure
 from .errors import (
+    DomainError,
     IndistinguishableError,
     KindMismatchError,
     NoWitnessError,
@@ -70,7 +71,7 @@ class Resolution:
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
         if self.eps <= 0:
-            raise ValueError("resolution eps must be positive")
+            raise DomainError("resolution eps must be positive")
 
     @property
     def depth_cap(self) -> int:
@@ -340,7 +341,7 @@ def _require_same_kind(x: Magnitude, y: Magnitude) -> KindOps:
 
 def kmul(n: int, x: Magnitude) -> Magnitude:
     if not isinstance(n, int) or n < 1:
-        raise ValueError("multiplier must be a positive integer")
+        raise DomainError("multiplier must be a positive integer")
     if n == 1:
         return x
     return Magnitude(x.kind, ops_for(x.kind).kmul(n, x.payload))

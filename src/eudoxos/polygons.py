@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DegeneratePolygonError,
+    DomainError,
     IrrationalVertexError,
     SelfIntersectionError,
 )
@@ -156,7 +157,7 @@ def rectangle_normal_form(p: Polygon, side) -> tuple[Fraction, Fraction]:
     """Dimensions (l, content/l) of the content-equivalent rectangle on l."""
     side = Fraction(side)
     if side <= 0:
-        raise ValueError("rectangle side must be positive")
+        raise DomainError("rectangle side must be positive")
     return (side, content(p) / side)
 
 
@@ -180,7 +181,7 @@ def transform(p: Polygon, rotation=(1, 0), translation=(0, 0)) -> Polygon:
     """Rational rigid motion; rotation must be an exact unit vector (c, s)."""
     c, s = Fraction(rotation[0]), Fraction(rotation[1])
     if c * c + s * s != 1:
-        raise ValueError("rotation (c, s) must satisfy c^2 + s^2 = 1")
+        raise DomainError("rotation (c, s) must satisfy c^2 + s^2 = 1")
     dx, dy = Fraction(translation[0]), Fraction(translation[1])
     return Polygon(
         [(c * x - s * y + dx, s * x + c * y + dy) for (x, y) in p.vertices]

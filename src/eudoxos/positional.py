@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .errors import EudoxosError, IndistinguishableError, NotArchimedeanError
+from .errors import DomainError, EudoxosError, IndistinguishableError, NotArchimedeanError
 from .intervals import Interval
 from .kinds import DEFAULT_RESOLUTION, Magnitude, Resolution
 from .ratios import CutSide, Ratio, _side_fn
@@ -94,7 +94,7 @@ def measure_positional(
     subdivision and only a true boundary leaves a digit undetermined.
     """
     if base < 2:
-        raise ValueError("base must be at least 2")
+        raise DomainError("base must be at least 2")
     r = Ratio(b, u)
 
     # one oracle per digit, all sharing the deepest depth read: each digit's
@@ -155,7 +155,7 @@ def measure_positional(
 def stream_to_enclosure(s: DigitStream, prefix_len: int) -> Interval:
     """[partial sum, partial sum + base^-prefix] (a point once terminated)."""
     if prefix_len < 0:
-        raise ValueError("prefix length must be non-negative")
+        raise DomainError("prefix length must be non-negative")
     total = s.partial_sum(prefix_len)
     if s.terminated_within(prefix_len):
         return Interval.point(total)

@@ -23,7 +23,7 @@ from functools import cache, cached_property
 from typing import Callable, Optional
 
 from .enclosures import RealEnclosure
-from .errors import KindMismatchError, NotArchimedeanError
+from .errors import DomainError, KindMismatchError, NotArchimedeanError
 from .intervals import Interval
 from . import kinds
 from .kinds import (
@@ -79,7 +79,7 @@ def rational_ratio(value: Fraction | int) -> Ratio:
     """The ratio p:q of naturals representing a positive fraction."""
     value = Fraction(value)
     if value <= 0:
-        raise ValueError("ratio value must be positive")
+        raise DomainError("ratio value must be positive")
     return Ratio(naturals(value.numerator), naturals(value.denominator))
 
 
@@ -97,7 +97,7 @@ def value_enclosure(r: Ratio) -> Optional[RealEnclosure]:
 def cut_member(r: Ratio, m: int, n: int, res: Resolution = DEFAULT_RESOLUTION) -> CutSide:
     """Place the fraction m/n against the ratio: Below means m*den < n*num."""
     if m < 1 or n < 1:
-        raise ValueError("cut queries take positive integers")
+        raise DomainError("cut queries take positive integers")
     return _side_fn(r, res)(m, n)
 
 
@@ -421,7 +421,7 @@ def inverse(r: Ratio) -> Ratio:
 def scale_rational(m: int, n: int, r: Ratio) -> Ratio:
     """(m/n) * ratio as <m*num, n*den>; independent of the representative."""
     if m < 1 or n < 1:
-        raise ValueError("scaling takes positive integers")
+        raise DomainError("scaling takes positive integers")
     return Ratio(kmul(m, r.num), kmul(n, r.den))
 
 

@@ -21,7 +21,13 @@ from typing import Optional, Union
 from .archimedes import arc_length_bounds, pi_interval
 from .angles import Angle, _turn_enclosure
 from .enclosures import RealEnclosure
-from .errors import EmptyArcError, NotDisjointError, NotGreaterError, ZeroMagnitudeError
+from .errors import (
+    DomainError,
+    EmptyArcError,
+    NotDisjointError,
+    NotGreaterError,
+    ZeroMagnitudeError,
+)
 from .intervals import Interval
 from .kinds import Comparison, KindId, KindOps, Magnitude, magnitude_enclosure, register_kind
 from .polygons import Point, Polygon, content, parse_coordinate
@@ -57,9 +63,9 @@ class Sector:
         object.__setattr__(self, "start", Fraction(self.start) % 1)
         object.__setattr__(self, "extent", Fraction(self.extent))
         if self.radius <= 0:
-            raise ValueError("sector radius must be positive")
+            raise DomainError("sector radius must be positive")
         if not (0 < self.extent <= 1):
-            raise ValueError("sector extent must lie in (0, 1] turns")
+            raise DomainError("sector extent must lie in (0, 1] turns")
 
     @property
     def is_full_disk(self) -> bool:
@@ -87,9 +93,9 @@ class Arc:
     def __post_init__(self):
         object.__setattr__(self, "radius", Fraction(self.radius))
         if self.radius <= 0:
-            raise ValueError("arc radius must be positive")
+            raise DomainError("arc radius must be positive")
         if (self.turns is None) == (self.angle is None):
-            raise ValueError("give exactly one of turns or angle")
+            raise DomainError("give exactly one of turns or angle")
         if self.turns is not None:
             object.__setattr__(self, "turns", Fraction(self.turns))
             if self.turns <= 0:
@@ -418,15 +424,28 @@ def xii2_verify(r1, r2, depth: int = 10, search_bound: int = 100) -> Xii2Record:
 
     Certifies that the enclosure of the content ratio c1:c2 contains the
     exact squares-on-diameters ratio s1:s2 at every refinement up to depth,
-    and scans the four contradiction branches for integer pairs (n1, n2)
-    with n1+n2 <= search_bound: a pair is a witness only when the exact
-    square comparison holds and the content enclosures positively assert the
-    strict circle inequality.  Similar inscribed polygons carry the exact
-    ratio s1:s2 at every depth, which refutes equality branches exactly.
+    and refutes the four contradiction branches for every integer pair
+    (n1, n2) with n1+n2 <= search_bound.  A pair witnesses branch (i) or
+    (ii) only when its exact square comparison holds and the depth-``depth``
+    content enclosures positively assert the strict circle inequality;
+    similar inscribed polygons carry the exact ratio s1:s2 at every depth,
+    which refutes these branches exactly.  Branches (iii) and (iv) need a
+    circle equality that the exact square sign denies; the enclosures refute
+    such a pair when they separate n1*c2 from n2*c1 and leave it undecided
+    otherwise.
+
+    No pair is visited one by one.  For fixed n1 every predicate is
+    monotone in n2 and changes at one threshold: the exact sign of
+    n1*r2^2 - n2*r1^2 at n2 = n1*r2^2/r1^2, the separation n1*c2 > n2*c1
+    below n1*c2.lo/c1.hi and n2*c1 > n1*c2 above n1*c2.hi/c1.lo.  The
+    counts are run lengths between these thresholds, found by integer
+    floor divisions, and only the listed witnesses and undecided pairs are
+    enumerated, in (n1, n2) order.  The scan costs O(search_bound + listed
+    pairs) instead of O(search_bound^2).
     """
     r1, r2 = Fraction(r1), Fraction(r2)
     if r1 <= 0 or r2 <= 0:
-        raise ValueError("radii must be positive")
+        raise DomainError("radii must be positive")
     s1, s2 = 4 * r1 * r1, 4 * r2 * r2  # squares on the diameters
     target = s1 / s2
     contains = True
@@ -445,36 +464,53 @@ def xii2_verify(r1, r2, depth: int = 10, search_bound: int = 100) -> Xii2Record:
     # Trichotomy of n1*c2 vs n2*c1: the exact route compares n1*r2^2 with
     # n2*r1^2 (similar inscribed/circumscribed polygons scale exactly, the
     # XII.1 step), the enclosure route requires interval separation.  Since
-    # s = 4r^2, each branch's square condition is an exact circle sign, so
-    # one pass classifies every pair.  A pair witnesses branch (i) or (ii)
-    # only if the intervals positively assert its strict circle inequality,
-    # which the exact sign denies; branches (iii) and (iv) need an equality
-    # the exact sign denies, so the intervals refute them or leave them open.
+    # s = 4r^2, each branch's square condition is an exact circle sign.  With
+    # c1, c2 > 0 (pi > 3) and n2 in 1..top, top = search_bound - n1:
+    #   diff = n1*r2^2 - n2*r1^2 > 0  iff  n2*eq < n1*ep,  ep/eq = r2^2/r1^2;
+    #   sep_gt: n1*c2.lo > n2*c1.hi  iff  n2*gq < n1*gp,  gp/gq = c2.lo/c1.hi;
+    #   sep_lt: n1*c2.hi < n2*c1.lo  iff  n2*hq > n1*hp,  hp/hq = c2.hi/c1.lo.
+    # The witness runs of (i) and (ii) are empty while lo <= hi (a witness
+    # would need pi's enclosure inverted), but are computed all the same.
+    e, g, h = (r2 * r2) / (r1 * r1), c2.lo / c1.hi, c2.hi / c1.lo
+    ep, eq = e.numerator, e.denominator
+    gp, gq = g.numerator, g.denominator
+    hp, hq = h.numerator, h.denominator
     witnesses = ([], [])  # branches (i), (ii)
     refuted_exact = [0, 0]
     refuted_enc = [0, 0]  # branches (iii), (iv)
     undecided = ([], [])
     for n1 in range(1, search_bound):
-        for n2 in range(1, search_bound - n1 + 1):
-            diff = n1 * r2 * r2 - n2 * r1 * r1  # sign of n1*c2 - n2*c1
-            sep_gt = n1 * c2.lo > n2 * c1.hi
-            sep_lt = n1 * c2.hi < n2 * c1.lo
-            if diff <= 0:
-                if sep_gt:
-                    witnesses[0].append((n1, n2))
-                else:
-                    refuted_exact[0] += 1
-            if diff >= 0:
-                if sep_lt:
-                    witnesses[1].append((n1, n2))
-                else:
-                    refuted_exact[1] += 1
-            if diff != 0:
-                i = 0 if diff < 0 else 1
-                if sep_gt or sep_lt:
-                    refuted_enc[i] += 1
-                else:
-                    undecided[i].append((n1, n2))
+        top = search_bound - n1
+        floor_eq, off_line = divmod(n1 * ep, eq)
+        n_pos = min(top, floor_eq if off_line else floor_eq - 1)  # diff > 0 on 1..n_pos
+        n_nonneg = min(top, floor_eq)  # diff >= 0 on 1..n_nonneg, < 0 above
+        gt_last = (n1 * gp - 1) // gq  # sep_gt iff n2 <= gt_last
+        lt_first = n1 * hp // hq + 1  # sep_lt iff n2 >= lt_first
+
+        # (i): diff <= 0 on n_pos+1..top, a witness where sep_gt holds
+        lo, hi = n_pos + 1, min(top, gt_last)
+        listed = max(0, hi - lo + 1)
+        if listed:
+            witnesses[0].extend((n1, n2) for n2 in range(lo, hi + 1))
+        refuted_exact[0] += top - n_pos - listed
+        # (ii): diff >= 0 on 1..n_nonneg, a witness where sep_lt holds
+        lo, hi = max(1, lt_first), n_nonneg
+        listed = max(0, hi - lo + 1)
+        if listed:
+            witnesses[1].extend((n1, n2) for n2 in range(lo, hi + 1))
+        refuted_exact[1] += n_nonneg - listed
+        # (iii): diff < 0 on n_nonneg+1..top, undecided where neither separates
+        lo, hi = max(n_nonneg, gt_last) + 1, min(top, lt_first - 1)
+        listed = max(0, hi - lo + 1)
+        if listed:
+            undecided[0].extend((n1, n2) for n2 in range(lo, hi + 1))
+        refuted_enc[0] += top - n_nonneg - listed
+        # (iv): diff > 0 on 1..n_pos, undecided where neither separates
+        lo, hi = max(1, gt_last + 1), min(n_pos, lt_first - 1)
+        listed = max(0, hi - lo + 1)
+        if listed:
+            undecided[1].extend((n1, n2) for n2 in range(lo, hi + 1))
+        refuted_enc[1] += n_pos - listed
 
     branches = (
         BranchScan("(i)  n1*c2 > n2*c1 and n1*s2 <= n2*s1",
@@ -520,11 +556,11 @@ def parse_region(text: str) -> Region:
         elif head == "sector":
             fields = [parse_coordinate(tok) for tok in rest.split(",")]
             if len(fields) != 5:
-                raise ValueError("sector line needs cx,cy,r,start,extent")
+                raise DomainError("sector line needs cx,cy,r,start,extent")
             cx, cy, r, start, extent = fields
             parts.append(Sector((cx, cy), r, start, extent))
         else:
-            raise ValueError(f"unknown region generator {head!r}")
+            raise DomainError(f"unknown region generator {head!r}")
     return Region(parts)
 
 

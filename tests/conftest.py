@@ -18,6 +18,7 @@ from eudoxos.archimedes import half_cos, half_sin, pi_interval, precision_denomi
 from eudoxos.intervals import Interval, exact_sqrt, sqrt_interval
 from eudoxos.kinds import Comparison, Resolution, compare, kmul
 from eudoxos.ratios import CutSide, Ratio, exact_value, value_enclosure
+from eudoxos.regions import BranchScan, Xii2Record
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -237,6 +238,96 @@ def walking_cut_oracle():
         mp.setattr(ratios, "_side_fn", _side_fn)
         mp.setattr(positional, "_side_fn", _side_fn)
         yield
+
+
+# -- XII.2 reference -------------------------------------------------------------
+# The pair-by-pair branch scan that ``regions.xii2_verify`` replaced with
+# per-n1 thresholds, kept verbatim as the reference of the differential tests.
+
+
+def quadratic_xii2_verify(r1, r2, depth: int = 10, search_bound: int = 100) -> Xii2Record:
+    """Verify Proposition XII.2 computationally for two circles.
+
+    Certifies that the enclosure of the content ratio c1:c2 contains the
+    exact squares-on-diameters ratio s1:s2 at every refinement up to depth,
+    and scans the four contradiction branches for integer pairs (n1, n2)
+    with n1+n2 <= search_bound: a pair is a witness only when the exact
+    square comparison holds and the content enclosures positively assert the
+    strict circle inequality.  Similar inscribed polygons carry the exact
+    ratio s1:s2 at every depth, which refutes equality branches exactly.
+    """
+    r1, r2 = Fraction(r1), Fraction(r2)
+    if r1 <= 0 or r2 <= 0:
+        raise ValueError("radii must be positive")
+    s1, s2 = 4 * r1 * r1, 4 * r2 * r2  # squares on the diameters
+    target = s1 / s2
+    contains = True
+    for d in range(depth + 1):
+        pi_iv = pi_interval(d)
+        c1 = pi_iv.scale(r1 * r1)
+        c2 = pi_iv.scale(r2 * r2)
+        ratio_iv = c1 / c2
+        if not ratio_iv.contains(target):
+            contains = False
+    final_pi = pi_interval(depth)
+    c1 = final_pi.scale(r1 * r1)
+    c2 = final_pi.scale(r2 * r2)
+    ratio_iv = c1 / c2
+
+    # Trichotomy of n1*c2 vs n2*c1: the exact route compares n1*r2^2 with
+    # n2*r1^2 (similar inscribed/circumscribed polygons scale exactly, the
+    # XII.1 step), the enclosure route requires interval separation.  Since
+    # s = 4r^2, each branch's square condition is an exact circle sign, so
+    # one pass classifies every pair.  A pair witnesses branch (i) or (ii)
+    # only if the intervals positively assert its strict circle inequality,
+    # which the exact sign denies; branches (iii) and (iv) need an equality
+    # the exact sign denies, so the intervals refute them or leave them open.
+    witnesses = ([], [])  # branches (i), (ii)
+    refuted_exact = [0, 0]
+    refuted_enc = [0, 0]  # branches (iii), (iv)
+    undecided = ([], [])
+    for n1 in range(1, search_bound):
+        for n2 in range(1, search_bound - n1 + 1):
+            diff = n1 * r2 * r2 - n2 * r1 * r1  # sign of n1*c2 - n2*c1
+            sep_gt = n1 * c2.lo > n2 * c1.hi
+            sep_lt = n1 * c2.hi < n2 * c1.lo
+            if diff <= 0:
+                if sep_gt:
+                    witnesses[0].append((n1, n2))
+                else:
+                    refuted_exact[0] += 1
+            if diff >= 0:
+                if sep_lt:
+                    witnesses[1].append((n1, n2))
+                else:
+                    refuted_exact[1] += 1
+            if diff != 0:
+                i = 0 if diff < 0 else 1
+                if sep_gt or sep_lt:
+                    refuted_enc[i] += 1
+                else:
+                    undecided[i].append((n1, n2))
+
+    branches = (
+        BranchScan("(i)  n1*c2 > n2*c1 and n1*s2 <= n2*s1",
+                   tuple(witnesses[0]), refuted_exact[0], 0, ()),
+        BranchScan("(ii) n2*c1 > n1*c2 and n2*s1 <= n1*s2",
+                   tuple(witnesses[1]), refuted_exact[1], 0, ()),
+        BranchScan("(iii) n1*c2 = n2*c1 and n1*s2 < n2*s1",
+                   (), 0, refuted_enc[0], tuple(undecided[0])),
+        BranchScan("(iv) n2*c1 = n1*c2 and n2*s1 < n1*s2",
+                   (), 0, refuted_enc[1], tuple(undecided[1])),
+    )
+    return Xii2Record(
+        r1=r1,
+        r2=r2,
+        squares_ratio=target,
+        contains_at_every_depth=contains,
+        ratio_interval=ratio_iv,
+        branches=branches,
+        exhaustion_steps=depth,
+        search_bound=search_bound,
+    )
 
 
 def random_fraction(rng: random.Random, max_num: int = 50) -> Fraction:

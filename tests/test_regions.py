@@ -1,16 +1,25 @@
 """Exhaustion regions: certified pi, arcs, sectors, eta, and XII.2."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import eudoxos as E
-from conftest import assert_contains_value
+from conftest import assert_contains_value, quadratic_xii2_verify
 
 ARCHIMEDES_LOW = Fraction(3) + Fraction(10, 71)
 ARCHIMEDES_HIGH = Fraction(3) + Fraction(1, 7)
+
+# Equal radii and rational r2/r1 put pairs on the exact line n1*r2^2 = n2*r1^2;
+# depth 0 (pi in [3, 3.47]) leaves many pairs undecided.
+XII2_RADII = [Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3), Fraction(4, 3),
+              Fraction(1, 3), Fraction(7, 2)]
+XII2_DEPTHS = (0, 3, 10)
+XII2_STRIDE = {44: 5, 100: 20}
 
 
 class TestPiBounds:
@@ -211,8 +220,51 @@ class TestXii2:
 
     def test_branch_scan_counts(self):
         rec = E.xii2_verify(1, 2, depth=8, search_bound=40)
-        scanned = sum(b.refuted_exact + b.refuted_by_enclosure for b in rec.branches)
-        assert scanned > 0
+        counts = [(len(b.witnesses), b.refuted_exact, b.refuted_by_enclosure, len(b.undecided))
+                  for b in rec.branches]
+        # the quadratic reference's counts: 780 pairs, 8 of them on the line n2 = 4*n1
+        assert counts == [(0, 148, 0, 0), (0, 640, 0, 0), (0, 0, 140, 0), (0, 0, 632, 0)]
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 16, 44, 100])
+    def test_thresholds_match_quadratic_scan(self, bound):
+        # The reference takes about 0.03 s a record at bound 44 and 0.15 s at
+        # 100, so these bounds take every 5th and every 20th record of the
+        # radii x radii x depths product; strides prime to 3 rotate the depth.
+        cases = list(itertools.product(XII2_RADII, XII2_RADII, XII2_DEPTHS))
+        for r1, r2, depth in cases[::XII2_STRIDE.get(bound, 1)]:
+            assert E.xii2_verify(r1, r2, depth, bound) == quadratic_xii2_verify(
+                r1, r2, depth, bound), (r1, r2, depth)
+
+    @pytest.mark.parametrize("r1, r2, depth", [
+        (Fraction(5, 3), Fraction(4, 3), 10),
+        (Fraction(1), Fraction(2), 0),
+    ], ids=["5/3,4/3 depth 10", "1,2 depth 0"])
+    def test_thresholds_match_quadratic_scan_at_bound_200(self, r1, r2, depth):
+        assert E.xii2_verify(r1, r2, depth, 200) == quadratic_xii2_verify(r1, r2, depth, 200)
+
+    @given(
+        r1=st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12),
+        r2=st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12),
+        bound=st.integers(1, 60),
+        depth=st.integers(0, 10),
+    )
+    def test_thresholds_match_quadratic_scan_on_random_radii(self, r1, r2, bound, depth):
+        assert E.xii2_verify(r1, r2, depth, bound) == quadratic_xii2_verify(r1, r2, depth, bound)
+
+    def test_branch_counts_at_bound_20000(self):
+        # 2*10^8 pairs: a scan that visits each of them would not finish
+        r1, r2, bound = Fraction(5, 3), Fraction(4, 3), 20_000
+        rec = E.xii2_verify(r1, r2, depth=20, search_bound=bound)
+        pairs = bound * (bound - 1) // 2
+        e = r2 * r2 / (r1 * r1)
+        on_line = sum(1 for n1 in range(1, bound)
+                      if n1 * e.numerator % e.denominator == 0
+                      and n1 * e.numerator // e.denominator <= bound - n1)
+        assert on_line == bound // 41  # (n1, n2) = k*(25, 16)
+        exact, enclosure = rec.branches[:2], rec.branches[2:]
+        assert sum(len(b.witnesses) + b.refuted_exact for b in exact) == pairs + on_line
+        assert sum(b.refuted_by_enclosure + len(b.undecided) for b in enclosure) == pairs - on_line
+        assert rec.passed
 
 
 class TestRegionFiles:
