@@ -34,6 +34,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .archimedes import (
     HalvingChain,
     arc_length_bounds,
+    capped_chain,
     pi_interval,
     precision_denominator,
     sector_area_bounds,
@@ -264,14 +265,8 @@ def _turn_enclosure(
     sector_area_bounds (a half-turn of sector is pi*r^2/2); a missing
     direction (whole turns only) contributes nothing.
 
-    The direction has one halving chain, rounded at precision_denominator(cap)
-    and read at every depth up to cap.  The first query builds it with cap =
-    its depth, so a single query rounds as a chain built for that depth alone;
-    a deeper query rebuilds it with cap = max(depth, 2*cap + 1), so a walk to
-    depth d rebuilds O(log d) times.  Directed rounding on the finer grid, a
-    power-of-two multiple of the coarser, lands inside the coarser results, so
-    shallower depths read from it are no wider (bar an input that is an exact
-    rational square, whose root is returned unrounded on either grid).
+    The direction has one halving chain, rebuilt as a query outgrows its cap
+    under the rule of ``capped_chain``, the one that also serves pi.
     """
     chain: Optional[tuple[int, HalvingChain]] = None  # (cap, chain), rebound whole
 
@@ -280,12 +275,10 @@ def _turn_enclosure(
         total = pi_interval(depth).scale(pi_multiple)
         if direction is None:
             return total
-        current = chain
-        if current is None or depth > current[0]:
-            cap = depth if current is None else max(depth, 2 * current[0] + 1)
-            den = precision_denominator(cap)
-            current = chain = (cap, HalvingChain(_cos_interval_of_dir(direction, den), den))
-        return total + bounds(current[1], r, depth)
+        _, current = chain = capped_chain(
+            chain, depth, lambda den: _cos_interval_of_dir(direction, den)
+        )
+        return total + bounds(current, r, depth)
 
     return RealEnclosure(refine, name=name)
 

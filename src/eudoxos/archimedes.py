@@ -1,17 +1,20 @@
 """Polygon-doubling bounds for the circle.
 
-Maintains certified interval tables for sin and cos of pi/(6*2^n) via the
-half-angle recurrence with outward-rounded rational square roots.  From these
-come the inscribed/circumscribed perimeter and area bounds of the 6*2^n-gon
-and the nested pi enclosure.  The same halved-cosine recurrence, started from
-an arbitrary cosine interval, is the ``HalvingChain`` behind the arc and
-sector bounds of point-triple angles.
+One recurrence, the half-angle step with outward-rounded rational square
+roots, halves an angle t in (0, pi) from an interval for cos t: the
+``HalvingChain``.  Started at cos(pi/3) = 1/2, its level n+1 is pi/(6*2^n),
+the half side angle of the regular 6*2^n-gon; from it come the inscribed and
+circumscribed perimeter and area bounds and the nested pi enclosure.  Started
+from the cosine of a point-triple angle, it gives the arc and sector bounds.
+Both are rebuilt under one rule (``capped_chain``), and depth d of pi is
+certified to about 2d + 1 bits, with no floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Optional
 
 from .enclosures import RealEnclosure
 from .errors import DomainError
@@ -19,9 +22,6 @@ from .intervals import Interval, Rat, sqrt_interval
 
 _PREC_BASE = 64
 _PREC_STEP = 8
-
-_ONE = Interval.point(1)
-
 
 def precision_denominator(level: int) -> int:
     """Denominator cap used for directed rounding at a refinement level."""
@@ -82,26 +82,26 @@ class HalvingChain:
         return s, levels[k]
 
 
-# sin/cos of pi/(6*2^n), index n, level n rounded at precision_denominator(n).
-# The finer rounding of deep levels does not undo the slop they inherit from
-# level 0: s = sqrt((1-c)/2) amplifies the width of c by about 1/(4s), so
-# sides*width(s) stays near the level-0 slop and pi_enclosure stalls near 2^-60.
-_table: list[tuple[Interval, Interval]] = []
+def capped_chain(
+    held: Optional[tuple[int, HalvingChain]], depth: int, cos0: Callable[[int], Interval]
+) -> tuple[int, HalvingChain]:
+    """The (cap, chain) pair that serves ``depth``: ``held`` if its cap reaches it.
 
-
-def _sincos(level: int) -> tuple[Interval, Interval]:
-    while len(_table) <= level:
-        n = len(_table)
-        den = precision_denominator(n)
-        if n == 0:
-            s = Interval.point(Fraction(1, 2))
-            c = sqrt_interval(Interval.point(Fraction(3, 4)), den)
-        else:
-            _, c_prev = _table[n - 1]
-            s = half_sin(c_prev, den)
-            c = half_cos(c_prev, den)
-        _table.append((s, c))
-    return _table[level]
+    Otherwise a new chain of the angle whose cosine ``cos0(den)`` encloses,
+    rounded at den = precision_denominator(cap).  The first build (``held``
+    is None) takes cap = depth, so a single query rounds as a chain built for
+    that depth alone; a deeper query rebuilds with cap = max(depth, 2*cap + 1),
+    so a walk to depth d rebuilds O(log d) times.  Directed rounding on the
+    finer grid, a power-of-two multiple of the coarser, lands inside the
+    coarser results, so shallower depths read from it are no wider (bar an
+    input that is an exact rational square, whose root is returned unrounded
+    on either grid).
+    """
+    if held is not None and depth <= held[0]:
+        return held
+    cap = depth if held is None else max(depth, 2 * held[0] + 1)
+    den = precision_denominator(cap)
+    return cap, HalvingChain(cos0(den), den)
 
 
 @dataclass(frozen=True)
@@ -120,30 +120,31 @@ class PiEnclosure:
 
 
 _pi_cache: list[PiEnclosure] = []
+# (cap, chain) of cos(pi/3) = 1/2 under capped_chain, rebound whole
+_pi_chain: Optional[tuple[int, HalvingChain]] = None
+_HALF = Fraction(1, 2)
 
 
 def pi_enclosure(depth: int) -> PiEnclosure:
     """Certified enclosure of pi from the 6*2^depth-gon.
 
-    Lower bound: inscribed perimeter over the diameter.  Upper bound:
-    circumscribed perimeter over the diameter, capped at depth 0 by the
-    circumscribed square (the all-rational start).  Enclosures nest.
+    Lower and upper bounds are the inscribed and circumscribed perimeters of
+    the circle of diameter 1 (``inscribed_outer_bounds(1/2, depth)``), each
+    intersected with the previous depth's, so enclosures nest.  Depth 0 is
+    the hexagon pair 3 < pi < 2*sqrt(3), the root rounded up.  Depths are
+    filled in order, so depth n reads the pi chain at a cap below 2n + 1
+    whatever depth is asked first.
     """
     if depth < 0:
         raise DomainError("depth must be non-negative")
     while len(_pi_cache) <= depth:
         n = len(_pi_cache)
-        sides = 6 * (1 << n)
-        s, c = _sincos(n)
-        lower = sides * s.lo
-        upper = sides * (s.hi / c.lo)
-        if n == 0:
-            upper = min(upper, Fraction(4))  # circumscribed square
+        lower, upper, _, _ = inscribed_outer_bounds(_HALF, n)
         if _pi_cache:
             prev = _pi_cache[-1]
             lower = max(lower, prev.lower)
             upper = min(upper, prev.upper)
-        _pi_cache.append(PiEnclosure(sides, lower, upper))
+        _pi_cache.append(PiEnclosure(6 * (1 << n), lower, upper))
     return _pi_cache[depth]
 
 
@@ -161,25 +162,26 @@ def inscribed_outer_bounds(
     """(perimeter_lo, perimeter_hi, area_lo, area_hi) of the 6*2^n-gons.
 
     Lower values belong to the inscribed regular 6*2^n-gon of the circle of
-    radius r, upper values to the circumscribed one (circumscribed square at
-    n = 0).  All square roots are rounded outward, so the circle's perimeter
-    and content lie within the respective bounds at every n.
+    radius r, upper values to the circumscribed one, from sin and cos of
+    pi/(6*2^n), level n+1 of the pi chain; at n = 0 the hexagons give
+    perimeters 6r and 4*sqrt(3)*r.  All square roots are rounded outward, so
+    the circle's perimeter and content lie within the respective bounds at
+    every n.
     """
+    global _pi_chain
     r = Fraction(r)
     if r <= 0:
         raise DomainError("radius must be positive")
     if n < 0:
         raise DomainError("doubling depth must be non-negative")
     sides = 6 * (1 << n)
-    s, c = _sincos(n)
+    _, chain = _pi_chain = capped_chain(_pi_chain, n, lambda den: Interval.point(_HALF))
+    s, c = chain.sincos(n + 1)
     tan_hi = s.hi / c.lo
     perimeter_lo = 2 * sides * r * s.lo
     perimeter_hi = 2 * sides * r * tan_hi
     area_lo = sides * r * r * s.lo * c.lo
     area_hi = sides * r * r * tan_hi
-    if n == 0:
-        perimeter_hi = min(perimeter_hi, 8 * r)
-        area_hi = min(area_hi, 4 * r * r)
     return perimeter_lo, perimeter_hi, area_lo, area_hi
 
 

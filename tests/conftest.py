@@ -12,9 +12,15 @@ import pytest
 from hypothesis import settings
 
 import eudoxos as E
-from eudoxos import kinds, positional, ratios
+from eudoxos import archimedes, kinds, positional, ratios
 from eudoxos.angles import _cos_interval_of_dir
-from eudoxos.archimedes import half_cos, half_sin, pi_interval, precision_denominator
+from eudoxos.archimedes import (
+    PiEnclosure,
+    half_cos,
+    half_sin,
+    pi_interval,
+    precision_denominator,
+)
 from eudoxos.intervals import Interval, exact_sqrt, sqrt_interval
 from eudoxos.kinds import Comparison, Resolution, compare, kmul
 from eudoxos.ratios import CutSide, Ratio, exact_value, value_enclosure
@@ -123,6 +129,60 @@ def riemann_asin(x, d: int) -> Interval:
     return Interval(
         Fraction(lo_sum, den) * x_iv.lo / cells, Fraction(hi_sum, den) * x_iv.hi / cells
     )
+
+
+# -- the per-level pi table --------------------------------------------------------
+#
+# Reference for ``archimedes.pi_enclosure``, kept as it was before pi became
+# one halving chain: every pi interval of the chain lies inside the table's.
+
+# sin/cos of pi/(6*2^n), index n, level n rounded at precision_denominator(n).
+# The finer rounding of deep levels does not undo the slop they inherit from
+# level 0: s = sqrt((1-c)/2) amplifies the width of c by about 1/(4s), so
+# sides*width(s) stays near the level-0 slop and pi_enclosure stalls near 2^-60.
+_table: list[tuple[Interval, Interval]] = []
+
+
+def _sincos(level: int) -> tuple[Interval, Interval]:
+    while len(_table) <= level:
+        n = len(_table)
+        den = precision_denominator(n)
+        if n == 0:
+            s = Interval.point(Fraction(1, 2))
+            c = sqrt_interval(Interval.point(Fraction(3, 4)), den)
+        else:
+            _, c_prev = _table[n - 1]
+            s = half_sin(c_prev, den)
+            c = half_cos(c_prev, den)
+        _table.append((s, c))
+    return _table[level]
+
+
+_pi_cache: list[PiEnclosure] = []
+
+
+def table_pi_enclosure(depth: int) -> PiEnclosure:
+    """Pi from the per-level table, nested by intersection with the previous depth."""
+    while len(_pi_cache) <= depth:
+        n = len(_pi_cache)
+        sides = 6 * (1 << n)
+        s, c = _sincos(n)
+        lower = sides * s.lo
+        upper = sides * (s.hi / c.lo)
+        if n == 0:
+            upper = min(upper, Fraction(4))  # circumscribed square
+        if _pi_cache:
+            prev = _pi_cache[-1]
+            lower = max(lower, prev.lower)
+            upper = min(upper, prev.upper)
+        _pi_cache.append(PiEnclosure(sides, lower, upper))
+    return _pi_cache[depth]
+
+
+def cold_pi(monkeypatch) -> None:
+    """Empty the library's pi cache and chain until the test ends."""
+    monkeypatch.setattr(archimedes, "_pi_cache", [])
+    monkeypatch.setattr(archimedes, "_pi_chain", None)
 
 
 # -- the walking cut oracle and the linear witness scan --------------------------

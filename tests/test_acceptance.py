@@ -22,7 +22,7 @@ def report(num: int, ok: bool, text: str) -> None:
 def test_criterion_01_archimedes_bounds(capsys):
     import eudoxos.archimedes as arch
 
-    arch._table.clear()
+    arch._pi_chain = None
     arch._pi_cache.clear()
     t0 = time.time()
     code = cli_main(["pi", "--depth", "4", "--format", "json"])

@@ -253,7 +253,7 @@ class TestMeasures:
     def test_chain_cache_matches_recomputed_sines(self, monkeypatch, p):
         # walked and deepest-first series are the same intervals when every
         # (sin, cos) pair is recomputed from the chain's cos(t) on each read
-        from eudoxos import angles
+        from eudoxos import archimedes
 
         class RecomputingChain(HalvingChain):
             def sincos(self, k):
@@ -273,7 +273,7 @@ class TestMeasures:
             return out
 
         cached = series()
-        monkeypatch.setattr(angles, "HalvingChain", RecomputingChain)
+        monkeypatch.setattr(archimedes, "HalvingChain", RecomputingChain)
         assert series() == cached
 
     def test_chain_rejects_negative_levels(self):

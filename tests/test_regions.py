@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eudoxos as E
-from conftest import assert_contains_value, quadratic_xii2_verify
+from conftest import assert_contains_value, cold_pi, quadratic_xii2_verify, table_pi_enclosure
+from eudoxos.kinds import compare_enclosures
 
 ARCHIMEDES_LOW = Fraction(3) + Fraction(10, 71)
 ARCHIMEDES_HIGH = Fraction(3) + Fraction(1, 7)
@@ -31,7 +32,7 @@ class TestPiBounds:
     def test_hexagon_start(self):
         p_lo, p_hi, a_lo, a_hi = E.inscribed_outer_bounds(1, 0)
         assert p_lo == 6  # inscribed hexagon side equals the radius
-        assert p_hi <= 8 and a_hi <= 4  # circumscribed square caps
+        assert p_hi < 7 and a_hi < Fraction(7, 2)  # circumscribed hexagon: 4*sqrt(3), 2*sqrt(3)
         assert E.pi_enclosure(0).lower >= 3
 
     def test_bounds_bracket_true_pi(self):
@@ -49,6 +50,35 @@ class TestPiBounds:
     def test_width_at_depth_12(self):
         assert E.pi_enclosure(10).width <= Fraction(1, 10**4)
         assert E.pi_enclosure(12).width <= Fraction(1, 10**4)
+
+    @pytest.mark.parametrize("depth", [20, 40, 60, 100, 250])
+    def test_width_has_no_floor(self, monkeypatch, depth):
+        # a table rounded once per level stopped at 2^-60.4 from depth 35 on
+        cold_pi(monkeypatch)
+        assert E.pi_enclosure(depth).width <= Fraction(1, 4**depth)
+
+    def test_inside_the_table_reference(self, monkeypatch):
+        depths = range(61)
+        reference = [table_pi_enclosure(d).interval for d in depths]
+        cold_pi(monkeypatch)
+        walked = [E.pi_interval(d) for d in depths]
+        cold_pi(monkeypatch)
+        deepest_first = [E.pi_interval(d) for d in reversed(depths)][::-1]
+        points = []
+        for d in depths:
+            cold_pi(monkeypatch)
+            points.append(E.pi_interval(d))
+        for series in (walked, deepest_first, points):
+            assert all(reference[d].encloses(series[d]) for d in depths)
+
+    def test_separates_from_a_30_digit_rational(self):
+        q = Fraction(3141592653589793238462643383279, 10**30)
+        res = E.Resolution(Fraction(1, 2**120))
+        point = E.RealEnclosure.from_fraction(q)
+        assert compare_enclosures(E.pi_real(), point, res) is E.Comparison.GREATER
+        disk = E.region_magnitude(E.Region([E.disk((0, 0), 1)]))
+        rect = E.region_magnitude(E.Region([E.rectangle(q, 1)]))
+        assert E.compare(disk, rect, res) is E.Comparison.GREATER
 
     def test_area_perimeter_bounds_scale_with_radius(self):
         r = Fraction(7, 3)

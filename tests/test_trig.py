@@ -130,6 +130,19 @@ class TestTrigPrecision:
         ref = math.sin if fn is E.sin_analytic else math.cos
         assert_contains_value(iv, ref(float(x)))
 
+    @pytest.mark.parametrize(
+        "fn, x",
+        [(E.sin_analytic, Fraction(1)), (E.cos_analytic, Fraction(29)),
+         (E.sin_analytic, Fraction(11, 3))],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_100_bits_at_depth_100(self, fn, x):
+        # each reduces its argument by pi, which once stopped near 2^-60
+        iv = fn(x).at(100)
+        assert iv.width <= Fraction(1, 2**100)
+        ref = math.sin if fn is E.sin_analytic else math.cos
+        assert_contains_value(iv, ref(float(x)))
+
 
 class TestAnalyticSine:
     def test_zero(self):
