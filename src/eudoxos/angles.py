@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .archimedes import (
     HalvingChain,
@@ -352,19 +352,15 @@ class AngleMeasure:
         return self.value.at(depth)
 
 
-def measure_m(a: Angle, depth: Optional[int] = None) -> AngleMeasure:
+def measure_m(a: Angle) -> AngleMeasure:
     """Arc-length-to-radius enclosure (unit d); radius cancels exactly."""
     enc = _turn_enclosure(2 * a.windings, a.direction(), arc_length_bounds, name="m")
-    if depth is not None:
-        enc.at(depth)
     return AngleMeasure(AngleUnit.D, enc)
 
 
-def measure_mu(a: Angle, depth: Optional[int] = None) -> AngleMeasure:
+def measure_mu(a: Angle) -> AngleMeasure:
     """Sector-content-to-square enclosure (unit e); satisfies m = 2 mu."""
     enc = _turn_enclosure(a.windings, a.direction(), sector_area_bounds, name="mu")
-    if depth is not None:
-        enc.at(depth)
     return AngleMeasure(AngleUnit.E, enc)
 
 
@@ -459,7 +455,7 @@ def is_acute(a: Angle) -> bool:
     return a.windings == 0 and direction is not None and direction[0] > 0
 
 
-def sin_geometric(a: Angle, depth: Optional[int] = None) -> RealEnclosure:
+def sin_geometric(a: Angle) -> RealEnclosure:
     """Opposite-over-hypotenuse enclosure via the exact perpendicular foot."""
     if not is_acute(a):
         raise NotAcuteError("geometric sine requires an acute angle")
@@ -476,12 +472,9 @@ def sin_geometric(a: Angle, depth: Optional[int] = None) -> RealEnclosure:
     if root is not None:
         return RealEnclosure.from_fraction(root, name="Sin")
     pointed = Interval.point(ratio_sq)
-    enc = RealEnclosure(
+    return RealEnclosure(
         lambda d: sqrt_interval(pointed, precision_denominator(d)), name="Sin"
     )
-    if depth is not None:
-        enc.at(depth)
-    return enc
 
 
 # -- analytic machinery -------------------------------------------------------
@@ -514,7 +507,7 @@ def _asin_square(x: AsinArg) -> tuple[Fraction, AsinArg]:
     return x * x, x
 
 
-def asin_integral(x: AsinArg, depth: Optional[int] = None) -> RealEnclosure:
+def asin_integral(x: AsinArg) -> RealEnclosure:
     """Certified enclosure of the integral of 1/sqrt(1-t^2) from 0 to x.
 
     For x^2 = p/q <= 1/2 the integrand is the binomial series
@@ -541,13 +534,10 @@ def asin_integral(x: AsinArg, depth: Optional[int] = None) -> RealEnclosure:
         comp = 1 - sq
         root = exact_sqrt(comp)
         inner = asin_integral(root if root is not None else SqrtRational(comp))
-        enc = RealEnclosure(
+        return RealEnclosure(
             lambda d: pi_interval(d).scale(Fraction(1, 2)) - inner.at(d),
             name="asin",
         )
-        if depth is not None:
-            enc.at(depth)
-        return enc
 
     p, q = sq.numerator, sq.denominator
 
@@ -571,10 +561,7 @@ def asin_integral(x: AsinArg, depth: Optional[int] = None) -> RealEnclosure:
             x_lo = x_hi = xv
         return Interval(Fraction(lo_sum, one) * x_lo, Fraction(hi_sum, one) * x_hi)
 
-    enc = RealEnclosure(refine, name="asin")
-    if depth is not None:
-        enc.at(depth)
-    return enc
+    return RealEnclosure(refine, name="asin")
 
 
 _ASIN_MEMO: dict[Fraction, RealEnclosure] = {}
@@ -588,46 +575,33 @@ def _asin_at(x: Fraction) -> RealEnclosure:
     return _ASIN_MEMO[x]
 
 
-def _sin_lower(a: Fraction, dep: int) -> Fraction:
-    """Certified s <= sin(a) for a in (0, pi/2 + slack); tight to ~2^-dep."""
-    if a <= 0:
-        return max(a, Fraction(-1))  # sin(a) >= a for a <= 0
+def _sin_bisect(below: Callable[[Interval], bool], dep: int) -> tuple[Fraction, Fraction]:
+    """Bracket [lo, hi] of [0, 1], tight to ~2^-dep, around where ``below`` flips.
+
+    ``below`` is given the enclosure of asin(mid) and must be monotone: true
+    moves lo up to mid, false moves hi down to it.
+    """
     lo, hi = Fraction(0), Fraction(1)
     for it in range(dep + 6):
         if hi - lo <= Fraction(1, 1 << dep):
             break
         mid = (lo + hi) / 2
-        probe = min(dep + 2, it + 4)
-        if _asin_at(mid).at(probe).hi <= a:
+        if below(_asin_at(mid).at(min(dep + 2, it + 4))):
             lo = mid
         else:
             hi = mid
-    return lo
-
-
-def _sin_upper(b: Fraction, dep: int) -> Fraction:
-    """Certified s >= sin(b) for b below pi; capped at 1."""
-    if b <= 0:
-        return Fraction(0)  # sin(b) <= 0 for b <= 0
-    lo, hi = Fraction(0), Fraction(1)
-    for it in range(dep + 6):
-        if hi - lo <= Fraction(1, 1 << dep):
-            break
-        mid = (lo + hi) / 2
-        probe = min(dep + 2, it + 4)
-        if _asin_at(mid).at(probe).lo >= b:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return lo, hi
 
 
 def _sin_core(iv: Interval, dep: int) -> Interval:
-    """sin over an interval inside [0, pi/2] (with tolerance for wobble)."""
-    return Interval(
-        max(Fraction(-1), _sin_lower(iv.lo, dep)),
-        min(Fraction(1), _sin_upper(iv.hi, dep)),
-    )
+    """sin over an interval inside [0, pi/2] (with tolerance for wobble).
+
+    Left of 0 the bounds are sin(a) >= max(a, -1) and sin(b) <= 0.
+    """
+    a, b = iv.lo, iv.hi
+    lower = max(a, Fraction(-1)) if a <= 0 else _sin_bisect(lambda s: s.hi <= a, dep)[0]
+    upper = Fraction(0) if b <= 0 else _sin_bisect(lambda s: s.lo < b, dep)[1]
+    return Interval(lower, upper)
 
 
 def _sin_point(y: Interval, dep: int) -> Interval:
@@ -669,27 +643,15 @@ def _sin_eval(iv: Interval, dep: int) -> Interval:
     mid = (iv.lo + iv.hi) / 2
     two_pi_mid = (two_pi.lo + two_pi.hi) / 2
     k = max(0, int(mid / two_pi_mid))
+    # k needs no correction: k*2pi.lo <= mid <= iv.hi gives y.hi >= 0, and
+    # k*2pi.hi > mid - 2pi_mid gives y.lo <= mid - k*2pi.hi < 2pi.hi.
+    # Extrema inside y need no pass of their own: the quadrant piece past one
+    # hands _sin_core an upper end >= pi/2 (bound 1) or a lower end <= -1
+    # (bound -1), and the piece's sign makes that the extremum.
     y = iv - two_pi.scale(k)
-    for _ in range(4):  # settle the turn count against rounding wobble
-        if y.hi < 0 and k > 0:
-            k -= 1
-        elif y.lo > two_pi.hi:
-            k += 1
-        else:
-            break
-        y = iv - two_pi.scale(k)
     if y.lo < -pi_iv.lo / 2 or y.hi > two_pi.hi + pi_iv.hi / 2:
         return Interval(Fraction(-1), Fraction(1))
-    out = _sin_point(y, dep)
-    # Extrema that the reduced interval may contain dominate the endpoints.
-    for j in (0, 1):
-        crest = pi_iv.scale(Fraction(1, 2)) + two_pi.scale(j)
-        if y.intersects(crest):
-            out = Interval(out.lo, Fraction(1))
-        trough = pi_iv.scale(Fraction(3, 2)) + two_pi.scale(j)
-        if y.intersects(trough):
-            out = Interval(Fraction(-1), out.hi)
-    return out.intersection(Interval(Fraction(-1), Fraction(1)))
+    return _sin_point(y, dep)
 
 
 SinArg = Union[Fraction, int, RealEnclosure, AngleMeasure]
@@ -706,29 +668,23 @@ def _input_enclosure(x: SinArg) -> RealEnclosure:
     return RealEnclosure.from_fraction(x)
 
 
-def sin_analytic(x: SinArg, depth: Optional[int] = None) -> RealEnclosure:
+def sin_analytic(x: SinArg) -> RealEnclosure:
     """The analytic sine: inversion of the asin integral by bisection on
     [0, pi/2] with the endpoint pairs (0,0) and (pi/2,1) adjoined, extended by
     reflection and 2pi-periodicity; signed enclosure on (pi, 2pi)."""
     enc_x = _input_enclosure(x)
     if enc_x.exact == 0:
         return RealEnclosure.from_fraction(0, name="sin")
-    enc = RealEnclosure(lambda d: _sin_eval(enc_x.at(d), d), name="sin")
-    if depth is not None:
-        enc.at(depth)
-    return enc
+    return RealEnclosure(lambda d: _sin_eval(enc_x.at(d), d), name="sin")
 
 
-def cos_analytic(x: SinArg, depth: Optional[int] = None) -> RealEnclosure:
+def cos_analytic(x: SinArg) -> RealEnclosure:
     """cos x = sin(x + pi/2), with pi from the certified enclosure."""
     enc_x = _input_enclosure(x)
-    enc = RealEnclosure(
+    return RealEnclosure(
         lambda d: _sin_eval(enc_x.at(d) + pi_interval(d + 2).scale(Fraction(1, 2)), d),
         name="cos",
     )
-    if depth is not None:
-        enc.at(depth)
-    return enc
 
 
 def tan_analytic(x: SinArg, depth: int) -> Interval:

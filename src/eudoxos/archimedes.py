@@ -12,6 +12,7 @@ certified to about 2d + 1 bits, with no floor.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -120,6 +121,7 @@ class PiEnclosure:
 
 
 _pi_cache: list[PiEnclosure] = []
+_pi_lock = threading.Lock()  # one filler at a time: appends must stay in depth order
 # (cap, chain) of cos(pi/3) = 1/2 under capped_chain, rebound whole
 _pi_chain: Optional[tuple[int, HalvingChain]] = None
 _HALF = Fraction(1, 2)
@@ -133,18 +135,20 @@ def pi_enclosure(depth: int) -> PiEnclosure:
     intersected with the previous depth's, so enclosures nest.  Depth 0 is
     the hexagon pair 3 < pi < 2*sqrt(3), the root rounded up.  Depths are
     filled in order, so depth n reads the pi chain at a cap below 2n + 1
-    whatever depth is asked first.
+    whatever depth is asked first.  Threads that miss at once fill in turn.
     """
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    while len(_pi_cache) <= depth:
-        n = len(_pi_cache)
-        lower, upper, _, _ = inscribed_outer_bounds(_HALF, n)
-        if _pi_cache:
-            prev = _pi_cache[-1]
-            lower = max(lower, prev.lower)
-            upper = min(upper, prev.upper)
-        _pi_cache.append(PiEnclosure(6 * (1 << n), lower, upper))
+    if len(_pi_cache) <= depth:
+        with _pi_lock:
+            while len(_pi_cache) <= depth:
+                n = len(_pi_cache)
+                lower, upper, _, _ = inscribed_outer_bounds(_HALF, n)
+                if _pi_cache:
+                    prev = _pi_cache[-1]
+                    lower = max(lower, prev.lower)
+                    upper = min(upper, prev.upper)
+                _pi_cache.append(PiEnclosure(6 * (1 << n), lower, upper))
     return _pi_cache[depth]
 
 

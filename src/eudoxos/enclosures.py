@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import DomainError
 from .intervals import Interval, Rat
@@ -63,9 +63,6 @@ class RealEnclosure:
             iv = iv.hull(cache[depths[i]])
         cache[depth] = iv
         return iv
-
-    def width_at(self, depth: int) -> Fraction:
-        return self.at(depth).width
 
     def _binary(self, other: "RealEnclosure", op, symbol: str) -> "RealEnclosure":
         exact = None
@@ -108,15 +105,6 @@ class RealEnclosure:
     def __repr__(self) -> str:
         tag = f" {self.name}" if self.name else ""
         return f"<RealEnclosure{tag} at0={self.at(0)}>"
-
-
-EnclosureLike = Union[RealEnclosure, Fraction, int]
-
-
-def as_enclosure(value: EnclosureLike) -> RealEnclosure:
-    if isinstance(value, RealEnclosure):
-        return value
-    return RealEnclosure.from_fraction(value)
 
 
 def _join(a: str, op: str, b: str) -> str:

@@ -180,38 +180,6 @@ def _segment_dist_sq_at_least(p1: Point, p2: Point, c: Point, rsq: Fraction) -> 
     return cross * cross >= rsq * length_sq
 
 
-def _polygon_overlaps_polygon(a: Polygon, b: Polygon) -> bool:
-    for i in range(len(a.vertices)):
-        p1, p2 = a.vertices[i], a.vertices[(i + 1) % len(a.vertices)]
-        for j in range(len(b.vertices)):
-            q1, q2 = b.vertices[j], b.vertices[(j + 1) % len(b.vertices)]
-            d1 = (q2[0] - q1[0]) * (p1[1] - q1[1]) - (q2[1] - q1[1]) * (p1[0] - q1[0])
-            d2 = (q2[0] - q1[0]) * (p2[1] - q1[1]) - (q2[1] - q1[1]) * (p2[0] - q1[0])
-            d3 = (p2[0] - p1[0]) * (q1[1] - p1[1]) - (p2[1] - p1[1]) * (q1[0] - p1[0])
-            d4 = (p2[0] - p1[0]) * (q2[1] - p1[1]) - (p2[1] - p1[1]) * (q2[0] - p1[0])
-            if ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0 and (
-                (d3 > 0) != (d4 > 0)
-            ) and d3 != 0 and d4 != 0:
-                return True  # proper crossing
-    for pt in a.vertices:
-        if _point_strictly_inside_polygon(pt, b):
-            return True
-    for pt in b.vertices:
-        if _point_strictly_inside_polygon(pt, a):
-            return True
-    for i in range(len(a.vertices)):
-        p1, p2 = a.vertices[i], a.vertices[(i + 1) % len(a.vertices)]
-        mid = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2)
-        if _point_strictly_inside_polygon(mid, b):
-            return True
-    for j in range(len(b.vertices)):
-        q1, q2 = b.vertices[j], b.vertices[(j + 1) % len(b.vertices)]
-        mid = ((q1[0] + q2[0]) / 2, (q1[1] + q2[1]) / 2)
-        if _point_strictly_inside_polygon(mid, a):
-            return True
-    return False
-
-
 def _angular_ranges_disjoint(a: Sector, b: Sector) -> bool:
     # start values normalized into [0, 1); ranges may wrap.
     def covers(s: Sector):
@@ -231,11 +199,7 @@ def _certify_disjoint(a: RegionPart, b: RegionPart) -> None:
     if _boxes_separated(_bbox(a), _bbox(b)):
         return
     if isinstance(a, Polygon) and isinstance(b, Polygon):
-        if _polygon_overlaps_polygon(a, b):
-            raise NotDisjointError("polygon parts overlap")
-        raise NotDisjointError(
-            "disjointness of these polygons is undecidable for this constructor"
-        )
+        raise NotDisjointError("polygon parts overlap or are not certified disjoint")
     if isinstance(a, Sector) and isinstance(b, Sector):
         if a.center == b.center and a.radius == b.radius:
             if _angular_ranges_disjoint(a, b):
@@ -279,7 +243,7 @@ class Region:
             raise ZeroMagnitudeError("region needs at least one part")
         for p in parts:
             if not isinstance(p, (Polygon, Sector)):
-                raise TypeError(f"unsupported region part {p!r}")
+                raise DomainError(f"unsupported region part {p!r}")
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 _certify_disjoint(parts[i], parts[j])

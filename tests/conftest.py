@@ -13,7 +13,7 @@ from hypothesis import settings
 
 import eudoxos as E
 from eudoxos import archimedes, kinds, positional, ratios
-from eudoxos.angles import _cos_interval_of_dir
+from eudoxos.angles import _asin_at, _cos_interval_of_dir
 from eudoxos.archimedes import (
     PiEnclosure,
     half_cos,
@@ -129,6 +129,119 @@ def riemann_asin(x, d: int) -> Interval:
     return Interval(
         Fraction(lo_sum, den) * x_iv.lo / cells, Fraction(hi_sum, den) * x_iv.hi / cells
     )
+
+
+# -- the two mirrored sine bisections ----------------------------------------------
+#
+# Reference for ``angles._sin_eval``, kept verbatim as it was before one
+# bisection served both bounds and the turn-count settle loop and the
+# crest/trough pass were deleted: every interval must equal this one.
+
+def _sin_lower(a: Fraction, dep: int) -> Fraction:
+    """Certified s <= sin(a) for a in (0, pi/2 + slack); tight to ~2^-dep."""
+    if a <= 0:
+        return max(a, Fraction(-1))  # sin(a) >= a for a <= 0
+    lo, hi = Fraction(0), Fraction(1)
+    for it in range(dep + 6):
+        if hi - lo <= Fraction(1, 1 << dep):
+            break
+        mid = (lo + hi) / 2
+        probe = min(dep + 2, it + 4)
+        if _asin_at(mid).at(probe).hi <= a:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _sin_upper(b: Fraction, dep: int) -> Fraction:
+    """Certified s >= sin(b) for b below pi; capped at 1."""
+    if b <= 0:
+        return Fraction(0)  # sin(b) <= 0 for b <= 0
+    lo, hi = Fraction(0), Fraction(1)
+    for it in range(dep + 6):
+        if hi - lo <= Fraction(1, 1 << dep):
+            break
+        mid = (lo + hi) / 2
+        probe = min(dep + 2, it + 4)
+        if _asin_at(mid).at(probe).lo >= b:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _sin_core(iv: Interval, dep: int) -> Interval:
+    """sin over an interval inside [0, pi/2] (with tolerance for wobble)."""
+    return Interval(
+        max(Fraction(-1), _sin_lower(iv.lo, dep)),
+        min(Fraction(1), _sin_upper(iv.hi, dep)),
+    )
+
+
+def _sin_point(y: Interval, dep: int) -> Interval:
+    """sin over a narrow interval already reduced into [0 - eps, 2pi + eps]."""
+    pi_iv = pi_interval(dep + 2)
+    half = pi_iv.scale(Fraction(1, 2))
+    one_and_half = pi_iv.scale(Fraction(3, 2))
+    two = pi_iv.scale(2)
+    candidates: list[Interval] = []
+    # Quadrant formulas; evaluate every quadrant the interval may touch.
+    if y.lo <= half.hi:  # [0, pi/2]
+        candidates.append(_sin_core(Interval(y.lo, min(y.hi, half.hi)), dep))
+    if y.hi >= half.lo and y.lo <= pi_iv.hi:  # [pi/2, pi]
+        clip = Interval(max(y.lo, half.lo), min(y.hi, pi_iv.hi))
+        candidates.append(_sin_core(pi_iv - clip, dep))
+    if y.hi >= pi_iv.lo and y.lo <= one_and_half.hi:  # [pi, 3pi/2]
+        clip = Interval(max(y.lo, pi_iv.lo), min(y.hi, one_and_half.hi))
+        candidates.append(-_sin_core(clip - pi_iv, dep))
+    if y.hi >= one_and_half.lo:  # [3pi/2, 2pi+]
+        clip = Interval(max(y.lo, one_and_half.lo), y.hi)
+        candidates.append(-_sin_core(two - clip, dep))
+    out = candidates[0]
+    for c in candidates[1:]:
+        out = out.hull(c)
+    return out
+
+
+def _sin_eval(iv: Interval, dep: int) -> Interval:
+    if iv.hi <= 0:
+        return -_sin_eval(-iv, dep) if iv.lo < 0 else Interval.point(0)
+    if iv.lo < 0:
+        neg = -_sin_eval(Interval(0, -iv.lo), dep)
+        pos = _sin_eval(Interval(0, iv.hi), dep)
+        return neg.hull(pos)
+    pi_iv = pi_interval(dep + 2)
+    two_pi = pi_iv.scale(2)
+    if iv.width >= two_pi.lo:
+        return Interval(Fraction(-1), Fraction(1))
+    mid = (iv.lo + iv.hi) / 2
+    two_pi_mid = (two_pi.lo + two_pi.hi) / 2
+    k = max(0, int(mid / two_pi_mid))
+    y = iv - two_pi.scale(k)
+    for _ in range(4):  # settle the turn count against rounding wobble
+        if y.hi < 0 and k > 0:
+            k -= 1
+        elif y.lo > two_pi.hi:
+            k += 1
+        else:
+            break
+        y = iv - two_pi.scale(k)
+    if y.lo < -pi_iv.lo / 2 or y.hi > two_pi.hi + pi_iv.hi / 2:
+        return Interval(Fraction(-1), Fraction(1))
+    out = _sin_point(y, dep)
+    # Extrema that the reduced interval may contain dominate the endpoints.
+    for j in (0, 1):
+        crest = pi_iv.scale(Fraction(1, 2)) + two_pi.scale(j)
+        if y.intersects(crest):
+            out = Interval(out.lo, Fraction(1))
+        trough = pi_iv.scale(Fraction(3, 2)) + two_pi.scale(j)
+        if y.intersects(trough):
+            out = Interval(Fraction(-1), out.hi)
+    return out.intersection(Interval(Fraction(-1), Fraction(1)))
+
+
+bisection_sin_eval = _sin_eval
 
 
 # -- the per-level pi table --------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import eudoxos as E
 from conftest import assert_contains_value, cold_pi, quadratic_xii2_verify, table_pi_enclosure
+from eudoxos import archimedes
 from eudoxos.kinds import compare_enclosures
 
 ARCHIMEDES_LOW = Fraction(3) + Fraction(10, 71)
@@ -56,6 +59,30 @@ class TestPiBounds:
         # a table rounded once per level stopped at 2^-60.4 from depth 35 on
         cold_pi(monkeypatch)
         assert E.pi_enclosure(depth).width <= Fraction(1, 4**depth)
+
+    def test_cold_fill_under_threads(self, monkeypatch):
+        # threads that miss the cache at once must not append a depth twice
+        cold_pi(monkeypatch)
+        alone = [E.pi_enclosure(d) for d in range(121)]
+        cold_pi(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=E.pi_enclosure, args=(120,)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        cache = archimedes._pi_cache
+        assert [e.sides for e in cache] == [6 << k for k in range(121)]
+        assert all(
+            prev.lower <= cur.lower and cur.upper <= prev.upper
+            for prev, cur in zip(cache, cache[1:])
+        )
+        assert cache == alone
 
     def test_inside_the_table_reference(self, monkeypatch):
         depths = range(61)

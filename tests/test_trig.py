@@ -1,14 +1,17 @@
 """Geometric sine, the asin integral, analytic sine/cosine, and the limit."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import eudoxos as E
-from conftest import assert_contains_value, bisect_root, riemann_asin
+from conftest import assert_contains_value, bisect_root, bisection_sin_eval, riemann_asin
+from eudoxos.angles import _sin_eval
 from eudoxos.archimedes import pi_interval
 from eudoxos.enclosures import RealEnclosure
+from eudoxos.intervals import Interval
 
 
 def pi_times(q: Fraction) -> RealEnclosure:
@@ -199,6 +202,41 @@ class TestAnalyticCosine:
     def test_tan_quotient(self):
         iv = E.tan_analytic(Fraction(1, 2), 10)
         assert_contains_value(iv, math.tan(0.5))
+
+
+class TestBisectionReference:
+    """One bisection for both bounds gives every interval the mirrored pair gave."""
+
+    def test_intervals_near_multiples_of_quarter_pi(self):
+        # the crests, troughs and zeros of sin, where the deleted settle loop
+        # and crest/trough pass would have acted
+        rng = random.Random(12)
+        pi = Fraction(math.pi)
+        for _ in range(2000):
+            offset = Fraction(rng.uniform(-1, 1)) / 10 ** rng.randint(1, 12)
+            centre = rng.randint(0, 24) * pi / 4 + offset
+            half = Fraction(rng.randint(1, 99), 10 ** rng.randint(2, 13))
+            iv = Interval(centre - half, centre + half)
+            dep = rng.randint(0, 14)
+            assert _sin_eval(iv, dep) == bisection_sin_eval(iv, dep), (iv, dep)
+
+    def test_rationals_at_one_depth(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
+            d = rng.randint(0, 40)
+            point = Interval.point(x)
+            shifted = point + pi_interval(d + 2).scale(Fraction(1, 2))
+            assert E.sin_analytic(x).at(d) == bisection_sin_eval(point, d), (x, d)
+            assert E.cos_analytic(x).at(d) == bisection_sin_eval(shifted, d), (x, d)
+
+    @pytest.mark.parametrize("q", range(1, 49))
+    def test_walked_multiples_of_pi_twelfth(self, q):
+        x = pi_times(Fraction(q, 12))
+        walked = E.sin_analytic(x)
+        reference = RealEnclosure(lambda d: bisection_sin_eval(x.at(d), d))
+        for d in range(28):
+            assert walked.at(d) == reference.at(d), d
 
 
 class TestRoundTrip:
