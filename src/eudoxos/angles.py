@@ -330,10 +330,6 @@ def angle_magnitude(a: Angle) -> Magnitude:
     return Magnitude(KindId.ANGLES, value)
 
 
-def straight_angle_magnitude() -> Magnitude:
-    return Magnitude(KindId.ANGLES, AngleValue(half_turns=1, residual=None))
-
-
 # -- measures ----------------------------------------------------------------
 
 
@@ -576,15 +572,13 @@ def _asin_at(x: Fraction) -> RealEnclosure:
 
 
 def _sin_bisect(below: Callable[[Interval], bool], dep: int) -> tuple[Fraction, Fraction]:
-    """Bracket [lo, hi] of [0, 1], tight to ~2^-dep, around where ``below`` flips.
+    """Bracket [lo, hi] of [0, 1], of width 2^-dep, around where ``below`` flips.
 
     ``below`` is given the enclosure of asin(mid) and must be monotone: true
     moves lo up to mid, false moves hi down to it.
     """
     lo, hi = Fraction(0), Fraction(1)
-    for it in range(dep + 6):
-        if hi - lo <= Fraction(1, 1 << dep):
-            break
+    for it in range(dep):
         mid = (lo + hi) / 2
         if below(_asin_at(mid).at(min(dep + 2, it + 4))):
             lo = mid

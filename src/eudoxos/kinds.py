@@ -18,6 +18,12 @@ Registered kinds:
 Universes never mix: every operation demands equal ``KindId``.  Comparison on
 enclosure-backed kinds takes a :class:`Resolution` and may honestly answer
 ``INDISTINGUISHABLE`` instead of guessing.
+
+The Archimedean property lives here alone: ``KindOps.never_exceeds`` holds
+only on the lex quasi-kind, so only it makes measurement raise
+NotArchimedean, and every search for a multiple that exceeds (the witness,
+the integer part of a measurement, a Stern–Brocot run) is one uncapped
+gallop.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .enclosures import RealEnclosure
 from .errors import (
@@ -105,11 +111,9 @@ class KindOps:
     def add(self, a, b):
         raise NotImplementedError
 
-    def kmul(self, n: int, a):
-        acc = a
-        for _ in range(n - 1):
-            acc = self.add(acc, a)
-        return acc
+    def never_exceeds(self, a, b) -> bool:
+        """True when no multiple of a exceeds b; never, in an Archimedean kind."""
+        return False
 
     def compare(self, a, b, res: Resolution) -> Comparison:
         ea, eb = self.enclosure(a), self.enclosure(b)
@@ -222,6 +226,9 @@ class _LexPairsOps(KindOps):
 
     def compare(self, a, b, res):
         return total_order(a, b)
+
+    def never_exceeds(self, a, b):
+        return a[0] == 0 and b[0] > 0
 
     def sub(self, a, b, res):
         if not b < a:
@@ -362,31 +369,38 @@ def sub(x: Magnitude, y: Magnitude, res: Resolution = DEFAULT_RESOLUTION) -> Mag
     return Magnitude(x.kind, ops.sub(x.payload, y.payload, res))
 
 
+def _gallop(holds: Callable[[int], bool], k: int = 0) -> int:
+    """The last n >= 1 with holds(n), or 0, for a predicate that holds up to
+    some n and fails beyond it; k is 0 or an n known to hold.
+
+    Doubles past k until holds fails, then bisects between the last n that
+    held and the first that failed: O(log n) probes (Bentley and Yao, *An
+    almost optimal algorithm for unbounded searching*, 1976).
+    """
+    j = 2 * k or 1
+    while holds(j):
+        k, j = j, 2 * j
+    while j - k > 1:
+        mid = (k + j) // 2
+        if holds(mid):
+            k = mid
+        else:
+            j = mid
+    return k
+
+
 def archimedean_witness(
     x: Magnitude, y: Magnitude, bound: int, res: Resolution = DEFAULT_RESOLUTION
 ) -> Optional[int]:
     """Least n <= bound with n*x certified greater than y, if any.
 
-    Uses the monotonicity of n |-> n*x: binary search over certified
-    comparisons.  Absence is a value (None), not an error.
+    Certified exceeding is monotone in n, so the last n that does not exceed
+    is galloped to.  Absence is a value (None), not an error.
     """
-    _require_same_kind(x, y)
-    if bound < 1:
+    if _require_same_kind(x, y).never_exceeds(x.payload, y.payload):
         return None
-
-    def exceeds(n: int) -> bool:
-        return compare(kmul(n, x), y, res) is Comparison.GREATER
-
-    if not exceeds(bound):
-        return None
-    lo, hi = 1, bound  # invariant: exceeds(hi)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if exceeds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    n = _gallop(lambda m: m <= bound and compare(kmul(m, x), y, res) is not Comparison.GREATER)
+    return n + 1 if n < bound else None
 
 
 def magnitude_enclosure(x: Magnitude) -> Optional[RealEnclosure]:

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional
 
 from .errors import DomainError, EudoxosError, IndistinguishableError, NotArchimedeanError
 from .intervals import Interval
-from .kinds import DEFAULT_RESOLUTION, Magnitude, Resolution
+from .kinds import DEFAULT_RESOLUTION, Magnitude, Resolution, _gallop, ops_for
 from .ratios import CutSide, Ratio, _side_fn
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -116,22 +116,16 @@ def measure_positional(
         return place
 
     # Integer part: unique n0 with n0*u <= b < (n0+1)*u, and whether b hits it.
-    place = placer(res.eps)
-    lo, hi, exact = 0, 1, False
-    for _ in range(256):
-        s = place(hi, 1)
-        if s is CutSide.ABOVE:
-            break
-        lo, hi, exact = hi, 2 * hi, s is CutSide.BOUNDARY
-    else:
+    if ops_for(b.kind).never_exceeds(u.payload, b.payload):
         raise NotArchimedeanError("the unit never exceeds the measured magnitude")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        s = place(mid, 1)
-        if s is CutSide.ABOVE:
-            hi = mid
-        else:
-            lo, exact = mid, s is CutSide.BOUNDARY
+    place, sides = placer(res.eps), {}
+
+    def not_above(n: int) -> bool:
+        sides[n] = place(n, 1)
+        return sides[n] is not CutSide.ABOVE
+
+    lo = _gallop(not_above)
+    exact = sides.get(lo) is CutSide.BOUNDARY
 
     def digits() -> Iterator[tuple[int, bool]]:
         num, den = lo, 1  # the partial sum num/den, den = base**i

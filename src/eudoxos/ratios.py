@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import count
 from typing import Callable, Optional
 
 from .enclosures import RealEnclosure
@@ -231,15 +232,7 @@ def _simplest(
             return None if t is None else (a + c, b + d)
         # the run's k-th node is (p0 + k*dp)/(q0 + k*dq); node 1 moves by t
         (p0, q0), (dp, dq) = ((a, b), (c, d)) if t > 0 else ((c, d), (a, b))
-        k, j = 1, 2
-        while move(p0 + j * dp, q0 + j * dq) == t:
-            k, j = j, 2 * j
-        while j - k > 1:
-            mid = (k + j) // 2
-            if move(p0 + mid * dp, q0 + mid * dq) == t:
-                k = mid
-            else:
-                j = mid
+        k = kinds._gallop(lambda i: move(p0 + i * dp, q0 + i * dq) == t, 1)
         if t > 0:
             a, b = p0 + k * dp, q0 + k * dq
         else:
@@ -458,9 +451,6 @@ def mul_ratio(r1: Ratio, r2: Ratio) -> Ratio:
     return Ratio(segment_from_enclosure(e), segment_rational(1))
 
 
-_EMPTY_CUT_DIGITS = 64
-
-
 def to_real(r: Ratio) -> RealEnclosure:
     """Order embedding into real enclosures: the binary measurement of r.
 
@@ -469,7 +459,8 @@ def to_real(r: Ratio) -> RealEnclosure:
     1/2 one digit more, reaching at least the first non-zero digit.  So the
     bracket has width at most 2^-k; every fraction below it is in the cut and
     every fraction above is out.  Raises NotArchimedean when the cut is empty
-    (64 leading zero digits) or full (the unit never exceeds the numerator).
+    (no multiple of the numerator exceeds the denominator) or full (none of
+    the denominator exceeds the numerator).
     """
     v = exact_value(r)
     if v is not None:
@@ -484,11 +475,11 @@ def to_real(r: Ratio) -> RealEnclosure:
             stream = measure_positional(r.num, r.den, 2)
         length = depth
         if stream.int_part == 0:
-            lead = next((i for i in range(_EMPTY_CUT_DIGITS) if stream.digit(i)), None)
-            if lead is None:
+            if kinds.ops_for(r.num.kind).never_exceeds(r.num.payload, r.den.payload):
                 raise NotArchimedeanError(
                     "cut is empty: numerator infinitesimal relative to denominator"
                 )
+            lead = next(i for i in count() if stream.digit(i))
             length = max(depth, 1) if lead == 0 else max(depth + 1, lead + 1)
         return stream_to_enclosure(stream, length)
 

@@ -413,6 +413,73 @@ def walking_cut_oracle():
         yield
 
 
+# -- the capped Archimedean searches ----------------------------------------------
+# References for ``kinds.archimedean_witness`` and the integer part of
+# ``positional.measure_positional``, kept verbatim as they were before one
+# uncapped gallop served both: the witness bisected over [1, bound], and the
+# integer part doubled at most 256 times before it gave up.
+
+def bisection_witness(
+    x: E.Magnitude, y: E.Magnitude, bound: int, res: Resolution = E.DEFAULT_RESOLUTION
+) -> Optional[int]:
+    """Least n <= bound with n*x certified greater than y, if any.
+
+    Uses the monotonicity of n |-> n*x: binary search over certified
+    comparisons.  Absence is a value (None), not an error.
+    """
+    kinds._require_same_kind(x, y)
+    if bound < 1:
+        return None
+
+    def exceeds(n: int) -> bool:
+        return compare(kmul(n, x), y, res) is Comparison.GREATER
+
+    if not exceeds(bound):
+        return None
+    lo, hi = 1, bound  # invariant: exceeds(hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if exceeds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def doubling_int_part(
+    b: E.Magnitude, u: E.Magnitude, res: Resolution = E.DEFAULT_RESOLUTION
+) -> tuple[int, bool]:
+    """The integer part n0 of b:u, and whether b is exactly n0*u, placed
+    through ``positional._side_fn`` as ``measure_positional`` places them."""
+    side = positional._side_fn(Ratio(b, u), res)
+
+    def place(m: int, n: int) -> CutSide:
+        g = math.gcd(m, n)
+        s = side(m // g, n // g)
+        if s is CutSide.UNKNOWN:
+            raise E.IndistinguishableError(
+                "digit undetermined at this resolution; measure with a finer one"
+            )
+        return s
+
+    lo, hi, exact = 0, 1, False
+    for _ in range(256):
+        s = place(hi, 1)
+        if s is CutSide.ABOVE:
+            break
+        lo, hi, exact = hi, 2 * hi, s is CutSide.BOUNDARY
+    else:
+        raise E.NotArchimedeanError("the unit never exceeds the measured magnitude")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = place(mid, 1)
+        if s is CutSide.ABOVE:
+            hi = mid
+        else:
+            lo, exact = mid, s is CutSide.BOUNDARY
+    return lo, exact
+
+
 # -- XII.2 reference -------------------------------------------------------------
 # The pair-by-pair branch scan that ``regions.xii2_verify`` replaced with
 # per-n1 thresholds, kept verbatim as the reference of the differential tests.

@@ -125,6 +125,30 @@ def test_ratio_cut(capsys):
     assert out.strip() == "boundary"
 
 
+def test_ratio_less_and_inv(capsys):
+    assert run(capsys, "ratio", "less", "1:2", "2:3")[:2] == (0, "less\n")
+    assert run(capsys, "ratio", "less", "2:3", "1:2")[:2] == (0, "not-less\n")
+    assert run(capsys, "ratio", "inv", "3:2")[:2] == (0, "2/3\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ratio", "cut", "3:2", "3"), "ratio cut takes <ratio> <m> <n>"),
+    (("ratio", "less", "3:2"), "ratio less needs two ratio arguments"),
+])
+def test_ratio_missing_argument(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.strip() == f"error: {message}"
+
+
+def test_xii2_text(capsys):
+    code, out, _ = run(capsys, "xii2", "1", "2", "--depth", "6")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 6
+    assert lines[0] == "circles r1=1, r2=2; squares-on-diameters ratio 1/4"
+    assert lines[1].endswith("contains it at every refinement <= 6: True")
+    assert all("witnesses=[]" in line and "undecided: []" in line for line in lines[2:])
+
+
 def test_xii2(capsys):
     code, out, _ = run(capsys, "xii2", "1", "2", "--depth", "6", "--format", "json")
     assert code == 0

@@ -199,6 +199,23 @@ class TestRegions:
         with pytest.raises(E.NotDisjointError):
             E.Region([s1, E.Sector((0, 0), 1, Fraction(1, 8), Fraction(1, 4))])
 
+    def test_disks_apart_with_meeting_boxes_allowed(self):
+        # the boxes overlap on [1/2, 1]^2, the centres lie 3/sqrt(2) > 2 apart
+        reg = E.Region([E.disk((0, 0), 1), E.disk((Fraction(3, 2), Fraction(3, 2)), 1)])
+        assert_contains_value(E.region_content(reg).at(10), 2 * math.pi)
+
+    @pytest.mark.parametrize("parts, message", [
+        ([E.disk((0, 0), 1), E.disk((1, 0), 1)], "disks overlap"),
+        ([E.Sector((0, 0), 1, Fraction(0), Fraction(1, 4)),
+          E.Sector((1, 0), 1, Fraction(1, 4), Fraction(1, 4))],
+         "sector placement undecidable for this constructor"),
+        ([E.unit_square(), E.disk((1, 1), Fraction(1, 2))], "polygon vertex inside the disk"),
+        ([E.rectangle(4, 4), E.disk((2, 2), 1)], "disk center inside the polygon"),
+    ])
+    def test_disk_placements_rejected(self, parts, message):
+        with pytest.raises(E.NotDisjointError, match=f"^{message}$"):
+            E.Region(parts)
+
     def test_touching_squares_allowed(self):
         reg = E.Region([E.unit_square(), E.rectangle(1, 1, (1, 0))])
         assert E.region_content(reg).exact == 2

@@ -8,6 +8,7 @@ import pytest
 
 import eudoxos as E
 from conftest import assert_contains_value, bisect_root, bisection_sin_eval, riemann_asin
+from eudoxos import angles
 from eudoxos.angles import _sin_eval
 from eudoxos.archimedes import pi_interval
 from eudoxos.enclosures import RealEnclosure
@@ -181,6 +182,12 @@ class TestAnalyticSine:
     def test_negative_rational_rejected(self):
         with pytest.raises(E.DomainError):
             E.sin_analytic(Fraction(-1, 2))
+
+    def test_argument_wider_than_a_turn(self, monkeypatch):
+        # a turn or more covers every value of sin, so no asin series is summed
+        monkeypatch.setattr(angles, "_asin_at", lambda x: pytest.fail("asin evaluated"))
+        wide = RealEnclosure(lambda d: Interval(Fraction(0), Fraction(7)))
+        assert E.sin_analytic(wide).at(4) == Interval(Fraction(-1), Fraction(1))
 
 
 class TestAnalyticCosine:
