@@ -8,8 +8,9 @@ enclosure-backed regions instead.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DegeneratePolygonError,
@@ -68,46 +69,50 @@ def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     return False
 
 
-def shoelace(vertices: Sequence[Point]) -> Fraction:
-    total = Fraction(0)
-    n = len(vertices)
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return total / 2
-
-
 class Polygon:
     """Simple polygon, normalized to positive orientation."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "content_value")
 
     def __init__(self, vertices: Iterable):
         verts = [point(x, y) for (x, y) in vertices]
         if len(verts) < 3:
             raise DegeneratePolygonError("a polygon needs at least three vertices")
-        n = len(verts)
-        for i in range(n):
-            if verts[i] == verts[(i + 1) % n]:
-                raise DegeneratePolygonError("coincident consecutive vertices")
-        signed = shoelace(verts)
-        if signed == 0:
+        # Every test runs on one integer frame: the vertices times the lcm of
+        # their denominators.  Scaling by a positive integer keeps every
+        # equality and every sign of a cross product.
+        scale = math.lcm(*(c.denominator for v in verts for c in v))
+        grid = [
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in verts
+        ]
+        succ = grid[1:] + grid[:1]
+        if any(p == q for p, q in zip(grid, succ)):
+            raise DegeneratePolygonError("coincident consecutive vertices")
+        twice = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(grid, succ))
+        if twice == 0:
             raise DegeneratePolygonError("polygon has zero content")
-        if signed < 0:
+        if twice < 0:
             verts.reverse()
-        self._check_simple(verts)
+            grid.reverse()
+        self._check_simple(grid)
         self.vertices: tuple[Point, ...] = tuple(verts)
+        self.content_value = Fraction(abs(twice), 2 * scale * scale)
 
     @staticmethod
-    def _check_simple(verts: list[Point]) -> None:
-        n = len(verts)
+    def _check_simple(grid: list[tuple[int, int]]) -> None:
+        n = len(grid)
+        edges = list(zip(grid, grid[1:] + grid[:1]))
+        boxes = [
+            (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1]))
+            for p, q in edges
+        ]
         for i in range(n):
-            a1, a2 = verts[i], verts[(i + 1) % n]
+            a1, a2 = edges[i]
+            ax0, ax1, ay0, ay1 = boxes[i]
             for j in range(i + 1, n):
-                adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                b1, b2 = verts[j], verts[(j + 1) % n]
-                if adjacent:
+                b1, b2 = edges[j]
+                if j == i + 1 or (i == 0 and j == n - 1):
                     # Edges share one vertex; only a fold-back (both other
                     # endpoints on the same ray out of it) is an overlap.
                     shared, p, q = (a2, a1, b2) if j == i + 1 else (a1, a2, b1)
@@ -118,14 +123,13 @@ class Polygon:
                     if collinear and same_way:
                         raise SelfIntersectionError("edge folds back on its neighbour")
                     continue
+                bx0, bx1, by0, by1 = boxes[j]
+                if bx0 > ax1 or ax0 > bx1 or by0 > ay1 or ay0 > by1:
+                    continue  # closed segments with disjoint boxes never meet
                 if segments_intersect(a1, a2, b1, b2):
                     raise SelfIntersectionError(
                         f"edges {i} and {j} of the polygon intersect"
                     )
-
-    @property
-    def content_value(self) -> Fraction:
-        return shoelace(self.vertices)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -189,9 +193,17 @@ def transform(p: Polygon, rotation=(1, 0), translation=(0, 0)) -> Polygon:
 
 
 def fan_triangles(p: Polygon) -> list[Polygon]:
-    """Fan triangulation from vertex 0 (valid for convex polygons)."""
+    """Fan triangulation from vertex 0 (valid for convex polygons).
+
+    A fan triangle of zero content (v0 collinear with the edge it spans)
+    is left out, so the parts still sum to the polygon's content.
+    """
     v = p.vertices
-    return [Polygon([v[0], v[i], v[i + 1]]) for i in range(1, len(v) - 1)]
+    return [
+        Polygon([v[0], v[i], v[i + 1]])
+        for i in range(1, len(v) - 1)
+        if _cross(v[0], v[i], v[i + 1]) != 0
+    ]
 
 
 def parse_polygon(text: str) -> Polygon:

@@ -21,8 +21,10 @@ from eudoxos.archimedes import (
     pi_interval,
     precision_denominator,
 )
+from eudoxos.errors import DegeneratePolygonError, SelfIntersectionError
 from eudoxos.intervals import Interval, exact_sqrt, sqrt_interval
 from eudoxos.kinds import Comparison, Resolution, compare, kmul
+from eudoxos.polygons import point, segments_intersect
 from eudoxos.ratios import CutSide, Ratio, exact_value, value_enclosure
 from eudoxos.regions import BranchScan, Xii2Record
 
@@ -568,6 +570,67 @@ def quadratic_xii2_verify(r1, r2, depth: int = 10, search_bound: int = 100) -> X
         exhaustion_steps=depth,
         search_bound=search_bound,
     )
+
+
+# -- the Fraction polygon ----------------------------------------------------------
+# Reference for ``polygons.Polygon``, kept verbatim as it was before its checks
+# and its content moved onto one integer frame: the shoelace sum, the
+# coincident-vertex test and the simplicity scan all in Fraction arithmetic.
+
+def shoelace(vertices) -> Fraction:
+    total = Fraction(0)
+    n = len(vertices)
+    for i in range(n):
+        x1, y1 = vertices[i]
+        x2, y2 = vertices[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return total / 2
+
+
+class ShoelacePolygon:
+    """Simple polygon, normalized to positive orientation."""
+
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices):
+        verts = [point(x, y) for (x, y) in vertices]
+        if len(verts) < 3:
+            raise DegeneratePolygonError("a polygon needs at least three vertices")
+        n = len(verts)
+        for i in range(n):
+            if verts[i] == verts[(i + 1) % n]:
+                raise DegeneratePolygonError("coincident consecutive vertices")
+        signed = shoelace(verts)
+        if signed == 0:
+            raise DegeneratePolygonError("polygon has zero content")
+        if signed < 0:
+            verts.reverse()
+        self._check_simple(verts)
+        self.vertices = tuple(verts)
+
+    @staticmethod
+    def _check_simple(verts) -> None:
+        n = len(verts)
+        for i in range(n):
+            a1, a2 = verts[i], verts[(i + 1) % n]
+            for j in range(i + 1, n):
+                adjacent = j == i + 1 or (i == 0 and j == n - 1)
+                b1, b2 = verts[j], verts[(j + 1) % n]
+                if adjacent:
+                    # Edges share one vertex; only a fold-back (both other
+                    # endpoints on the same ray out of it) is an overlap.
+                    shared, p, q = (a2, a1, b2) if j == i + 1 else (a1, a2, b1)
+                    up = (p[0] - shared[0], p[1] - shared[1])
+                    uq = (q[0] - shared[0], q[1] - shared[1])
+                    collinear = up[0] * uq[1] - up[1] * uq[0] == 0
+                    same_way = up[0] * uq[0] + up[1] * uq[1] > 0
+                    if collinear and same_way:
+                        raise SelfIntersectionError("edge folds back on its neighbour")
+                    continue
+                if segments_intersect(a1, a2, b1, b2):
+                    raise SelfIntersectionError(
+                        f"edges {i} and {j} of the polygon intersect"
+                    )
 
 
 def random_fraction(rng: random.Random, max_num: int = 50) -> Fraction:
