@@ -1,7 +1,11 @@
 """Executable ratio and proportion: exact magnitude kinds, Eudoxean cuts,
 positional digit streams, certified pi bounds, angle measures, and a
 circularity-free construction of the sine function.
+
+The public surface is every name imported below, collected into ``__all__``.
 """
+
+from types import ModuleType as _ModuleType
 
 from .errors import (
     CollinearError,
@@ -35,7 +39,6 @@ from .kinds import (
     kmul,
     lex_pair,
     magnitude_enclosure,
-    magnitude_exact,
     naturals,
     polygon_class,
     segment_from_enclosure,
@@ -66,7 +69,6 @@ from .ratios import (
 from .positional import DigitStream, measure_positional, render_stream, stream_to_enclosure
 from .polygons import (
     Polygon,
-    compare_content,
     content,
     fan_triangles,
     parse_polygon,
@@ -95,7 +97,6 @@ from .angles import (
     sample_acute_angles,
     sin_analytic,
     sin_geometric,
-    tan_analytic,
     unit_relation_check,
 )
 from .regions import (
@@ -115,3 +116,8 @@ from .regions import (
 )
 
 __version__ = "0.1.0"
+
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -124,31 +124,11 @@ def angle_from_points(a, b, c, windings: int = 0) -> Angle:
     return Angle(vertex=b, arm1=_primitive(u), arm2=_primitive(v), windings=windings)
 
 
-def _same_ray(b: Point, p: Point, q: Point) -> bool:
-    """p and q on one ray from b: collinear and on the same side of b."""
-    up = (p[0] - b[0], p[1] - b[1])
-    uq = (q[0] - b[0], q[1] - b[1])
-    if up[0] * uq[1] - up[1] * uq[0] != 0:
-        return False
-    return up[0] * uq[0] + up[1] * uq[1] > 0
-
-
 def angle_equiv(t1: Sequence, t2: Sequence) -> bool:
-    """Triple equivalence: same vertex and one-of-two betweenness conditions."""
-    a1, b1, c1 = (_point(p) for p in t1)
-    a2, b2, c2 = (_point(p) for p in t2)
-    for (a, b, c) in ((a1, b1, c1), (a2, b2, c2)):
-        if a == b or b == c or a == c:
-            raise DuplicatePointError("angle points must be pairwise distinct")
-        u = (a[0] - b[0], a[1] - b[1])
-        v = (c[0] - b[0], c[1] - b[1])
-        if u[0] * v[1] - u[1] * v[0] == 0:
-            raise CollinearError("points lie on a straight line")
-    if b1 != b2:
-        return False
-    cond1 = _same_ray(b1, a1, a2) and _same_ray(b1, c1, c2)
-    cond2 = _same_ray(b1, a1, c2) and _same_ray(b1, c1, a2)
-    return cond1 or cond2
+    """Triple equivalence: same vertex, and each arm of one on a ray of the
+    other.  A primitive direction names a ray and the arms are stored
+    sorted, so that is equality of the normalized angles."""
+    return angle_from_points(*t1) == angle_from_points(*t2)
 
 
 # -- the angle kind -----------------------------------------------------------
@@ -189,6 +169,7 @@ def _dir_reduce(v: IntVec) -> IntVec:
 
 
 def _value_add(a: AngleValue, b: AngleValue) -> AngleValue:
+    """Multiply directions, carrying a half-turn when the product leaves (0, pi)."""
     h = a.half_turns + b.half_turns
     if a.residual is None:
         return AngleValue(h, b.residual)
@@ -223,27 +204,13 @@ def _value_compare(a: AngleValue, b: AngleValue) -> Comparison:
 def _value_sub(a: AngleValue, b: AngleValue) -> AngleValue:
     if _value_compare(a, b) is not Comparison.GREATER:
         raise NotGreaterError("angle minuend is not greater")
-    h = a.half_turns - b.half_turns
     if b.residual is None:
-        return AngleValue(h, a.residual)
-    if a.residual is None:
-        # borrow a half-turn: pi - t has direction (-d, x)
-        d, x = b.residual
-        return AngleValue(h - 1, _dir_reduce((-d, x)))
-    # divide directions: multiply by the conjugate of b
-    d1, x1 = a.residual
-    d2, x2 = b.residual
-    d = d1 * d2 + x1 * x2
-    x = x1 * d2 - x2 * d1
-    if x > 0:
-        return AngleValue(h, _dir_reduce((d, x)))
-    if x == 0:
-        return AngleValue(h, None) if h > 0 else _raise_zero()
-    return AngleValue(h - 1, _dir_reduce((-d, -x)))
-
-
-def _raise_zero():
-    raise NotGreaterError("difference is the zero angle")
+        return AngleValue(a.half_turns - b.half_turns, a.residual)
+    # a - b = a + (pi - b) - (h_b + 1) pi, where pi - t has direction (-d, x);
+    # a > b keeps the half-turn count non-negative
+    d, x = b.residual
+    s = _value_add(a, AngleValue(0, (-d, x)))
+    return AngleValue(s.half_turns - b.half_turns - 1, s.residual)
 
 
 def _cos_interval_of_dir(r: IntVec, den: int) -> Interval:
@@ -316,9 +283,6 @@ class _AnglesOps(KindOps):
 
     def enclosure(self, a):
         return _turn_enclosure(a.half_turns, a.residual, arc_length_bounds, name="angle")
-
-    def exact(self, a):
-        return None
 
 
 register_kind(_AnglesOps())
@@ -679,16 +643,6 @@ def cos_analytic(x: SinArg) -> RealEnclosure:
         lambda d: _sin_eval(enc_x.at(d) + pi_interval(d + 2).scale(Fraction(1, 2)), d),
         name="cos",
     )
-
-
-def tan_analytic(x: SinArg, depth: int) -> Interval:
-    """Quotient enclosure sin/cos at a fixed depth (no dedicated theory)."""
-    s = sin_analytic(x).at(depth)
-    c = cos_analytic(x).at(depth)
-    try:
-        return s / c
-    except ZeroDivisionError:
-        raise DomainError("cosine enclosure straddles zero at this depth") from None
 
 
 # -- the celebrated limit ------------------------------------------------------

@@ -129,10 +129,6 @@ class KindOps:
     def enclosure(self, a) -> Optional[RealEnclosure]:
         return None
 
-    def exact(self, a) -> Optional[Fraction]:
-        enc = self.enclosure(a)
-        return enc.exact if enc is not None else None
-
 
 def compare_enclosures(ea: RealEnclosure, eb: RealEnclosure, res: Resolution) -> Comparison:
     """Refine both enclosures until separated or both narrower than eps."""
@@ -182,9 +178,6 @@ class _NaturalsOps(KindOps):
 
     def enclosure(self, a):
         return RealEnclosure.from_fraction(a)
-
-    def exact(self, a):
-        return Fraction(a)
 
 
 class _PolygonClassesOps(_NaturalsOps):
@@ -267,9 +260,6 @@ class _SegmentsOps(KindOps):
 
     def enclosure(self, a):
         return a
-
-    def exact(self, a):
-        return a.exact
 
 
 _REGISTRY: dict[KindId, KindOps] = {}
@@ -405,7 +395,3 @@ def archimedean_witness(
 
 def magnitude_enclosure(x: Magnitude) -> Optional[RealEnclosure]:
     return ops_for(x.kind).enclosure(x.payload)
-
-
-def magnitude_exact(x: Magnitude) -> Optional[Fraction]:
-    return ops_for(x.kind).exact(x.payload)

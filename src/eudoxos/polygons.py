@@ -18,7 +18,7 @@ from .errors import (
     IrrationalVertexError,
     SelfIntersectionError,
 )
-from .kinds import Comparison, Magnitude, polygon_class, total_order
+from .kinds import Magnitude, polygon_class
 
 Point = tuple[Fraction, Fraction]
 
@@ -170,15 +170,9 @@ def rho1_equivalent(p: Polygon, q: Polygon) -> bool:
     return content(p) == content(q)
 
 
-def compare_content(p: Polygon, q: Polygon) -> Comparison:
-    return total_order(content(p), content(q))
-
-
-def as_magnitude(p: Polygon | Fraction | int) -> Magnitude:
+def as_magnitude(p: Polygon) -> Magnitude:
     """The equal-content class of the polygon, as a magnitude of kind (iv)."""
-    if isinstance(p, Polygon):
-        return polygon_class(content(p))
-    return polygon_class(p)
+    return polygon_class(content(p))
 
 
 def transform(p: Polygon, rotation=(1, 0), translation=(0, 0)) -> Polygon:

@@ -65,6 +65,8 @@ class DigitStream:
         return None
 
     def prefix(self, length: int) -> list[int]:
+        if length < 0:
+            raise DomainError("prefix length must be non-negative")
         if length > 0:
             self.digit(length - 1)
         return self._digits[:length]
@@ -148,8 +150,6 @@ def measure_positional(
 
 def stream_to_enclosure(s: DigitStream, prefix_len: int) -> Interval:
     """[partial sum, partial sum + base^-prefix] (a point once terminated)."""
-    if prefix_len < 0:
-        raise DomainError("prefix length must be non-negative")
     total = s.partial_sum(prefix_len)
     if s.terminated_within(prefix_len):
         return Interval.point(total)
@@ -158,7 +158,11 @@ def stream_to_enclosure(s: DigitStream, prefix_len: int) -> Interval:
 
 def decimal_display(iv: Interval, max_digits: int = 12) -> str:
     """Decimal digits certain from the enclosure (the common prefix of the
-    positional expansions of its endpoints); empty when none agree."""
+    positional expansions of its endpoints); empty when none agree.  Below
+    zero they are the digits of the mirror -iv after a minus sign."""
+    if iv.hi < 0:
+        digits = decimal_display(-iv, max_digits)
+        return f"-{digits}" if digits else ""
     best = None
     for k in range(max_digits + 1):
         scale = 10**k
@@ -171,9 +175,8 @@ def decimal_display(iv: Interval, max_digits: int = 12) -> str:
     n, k = best
     if k == 0:
         return f"{n}..."
-    sign = "-" if n < 0 else ""
-    digits = str(abs(n)).rjust(k + 1, "0")
-    return f"{sign}{digits[:-k]}.{digits[-k:]}..."
+    digits = str(n).rjust(k + 1, "0")
+    return f"{digits[:-k]}.{digits[-k:]}..."
 
 
 def render_stream(s: DigitStream, max_digits: int = 12) -> str:

@@ -34,7 +34,6 @@ from .kinds import (
     Resolution,
     kmul,
     magnitude_enclosure,
-    magnitude_exact,
     naturals,
     segment_from_enclosure,
     segment_rational,
@@ -84,15 +83,14 @@ def rational_ratio(value: Fraction | int) -> Ratio:
     return Ratio(naturals(value.numerator), naturals(value.denominator))
 
 
-def exact_value(r: Ratio) -> Optional[Fraction]:
-    en, ed = magnitude_exact(r.num), magnitude_exact(r.den)
-    if en is None or ed is None:
-        return None
-    return en / ed
-
-
 def value_enclosure(r: Ratio) -> Optional[RealEnclosure]:
     return r._enclosure
+
+
+def exact_value(r: Ratio) -> Optional[Fraction]:
+    """The ratio's rational value, if it has one: its enclosure's ``exact``."""
+    enc = value_enclosure(r)
+    return enc.exact if enc is not None else None
 
 
 def cut_member(r: Ratio, m: int, n: int, res: Resolution = DEFAULT_RESOLUTION) -> CutSide:
@@ -177,13 +175,8 @@ def _side_fn(
 
 
 def _hull(r: Ratio, probe_depth: int = 16) -> Optional[Interval]:
-    v = exact_value(r)
-    if v is not None:
-        return Interval.point(v)
     enc = value_enclosure(r)
-    if enc is not None:
-        return enc.at(probe_depth)
-    return None
+    return enc.at(probe_depth) if enc is not None else None
 
 
 class Proportionality(Enum):
@@ -419,13 +412,7 @@ def scale_rational(m: int, n: int, r: Ratio) -> Ratio:
 
 
 def _re(r: Ratio) -> RealEnclosure:
-    v = exact_value(r)
-    if v is not None:
-        return RealEnclosure.from_fraction(v)
-    enc = value_enclosure(r)
-    if enc is not None:
-        return enc
-    return to_real(r)
+    return value_enclosure(r) or to_real(r)
 
 
 def add_ratio(r1: Ratio, r2: Ratio) -> Ratio:

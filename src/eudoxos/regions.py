@@ -101,14 +101,6 @@ class Arc:
             if self.turns <= 0:
                 raise EmptyArcError("arc extent must be positive")
 
-    @staticmethod
-    def from_turns(radius, turns) -> "Arc":
-        return Arc(radius=Fraction(radius), turns=Fraction(turns))
-
-    @staticmethod
-    def from_angle(radius, angle: Angle) -> "Arc":
-        return Arc(radius=Fraction(radius), angle=angle)
-
 
 def arc_sup_b(c: Arc) -> RealEnclosure:
     """Enclosure of the arc-length supremum (inscribed chord sums below,
@@ -303,9 +295,6 @@ class _RegionClassesOps(KindOps):
         return RealEnclosure(
             lambda d: pi_interval(d).scale(a.pi_factor).shift(a.exact), name="region"
         )
-
-    def exact(self, a):
-        return a.exact if a.pi_factor == 0 else None
 
 
 @dataclass(frozen=True)

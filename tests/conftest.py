@@ -6,14 +6,23 @@ import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import pytest
 from hypothesis import settings
 
 import eudoxos as E
 from eudoxos import archimedes, kinds, positional, ratios
-from eudoxos.angles import _asin_at, _cos_interval_of_dir
+from eudoxos.angles import (
+    AngleValue,
+    Point,
+    _asin_at,
+    _cos_interval_of_dir,
+    _dir_mul,
+    _dir_reduce,
+    _point,
+    _value_compare,
+)
 from eudoxos.archimedes import (
     PiEnclosure,
     half_cos,
@@ -21,9 +30,15 @@ from eudoxos.archimedes import (
     pi_interval,
     precision_denominator,
 )
-from eudoxos.errors import DegeneratePolygonError, SelfIntersectionError
+from eudoxos.errors import (
+    CollinearError,
+    DegeneratePolygonError,
+    DuplicatePointError,
+    NotGreaterError,
+    SelfIntersectionError,
+)
 from eudoxos.intervals import Interval, exact_sqrt, sqrt_interval
-from eudoxos.kinds import Comparison, Resolution, compare, kmul
+from eudoxos.kinds import Comparison, KindId, Resolution, compare, kmul
 from eudoxos.polygons import point, segments_intersect
 from eudoxos.ratios import CutSide, Ratio, exact_value, value_enclosure
 from eudoxos.regions import BranchScan, Xii2Record
@@ -631,6 +646,123 @@ class ShoelacePolygon:
                     raise SelfIntersectionError(
                         f"edges {i} and {j} of the polygon intersect"
                     )
+
+
+# -- the angle kind's two carries and the ray-by-ray triple test ------------------
+# References for ``angles._value_sub`` and ``angles.angle_equiv``, kept verbatim
+# as they were before subtraction reused the carry of addition and triple
+# equivalence became equality of normalized angles.
+
+def _value_add(a: AngleValue, b: AngleValue) -> AngleValue:
+    h = a.half_turns + b.half_turns
+    if a.residual is None:
+        return AngleValue(h, b.residual)
+    if b.residual is None:
+        return AngleValue(h, a.residual)
+    d, x = _dir_mul(a.residual, b.residual)
+    if x > 0:
+        return AngleValue(h, _dir_reduce((d, x)))
+    if x == 0:  # exactly a straight angle: d < 0 here
+        return AngleValue(h + 1, None)
+    return AngleValue(h + 1, _dir_reduce((-d, -x)))
+
+
+def _value_sub(a: AngleValue, b: AngleValue) -> AngleValue:
+    if _value_compare(a, b) is not Comparison.GREATER:
+        raise NotGreaterError("angle minuend is not greater")
+    h = a.half_turns - b.half_turns
+    if b.residual is None:
+        return AngleValue(h, a.residual)
+    if a.residual is None:
+        # borrow a half-turn: pi - t has direction (-d, x)
+        d, x = b.residual
+        return AngleValue(h - 1, _dir_reduce((-d, x)))
+    # divide directions: multiply by the conjugate of b
+    d1, x1 = a.residual
+    d2, x2 = b.residual
+    d = d1 * d2 + x1 * x2
+    x = x1 * d2 - x2 * d1
+    if x > 0:
+        return AngleValue(h, _dir_reduce((d, x)))
+    if x == 0:
+        return AngleValue(h, None) if h > 0 else _raise_zero()
+    return AngleValue(h - 1, _dir_reduce((-d, -x)))
+
+
+def _raise_zero():
+    raise NotGreaterError("difference is the zero angle")
+
+
+def _same_ray(b: Point, p: Point, q: Point) -> bool:
+    """p and q on one ray from b: collinear and on the same side of b."""
+    up = (p[0] - b[0], p[1] - b[1])
+    uq = (q[0] - b[0], q[1] - b[1])
+    if up[0] * uq[1] - up[1] * uq[0] != 0:
+        return False
+    return up[0] * uq[0] + up[1] * uq[1] > 0
+
+
+def angle_equiv(t1: Sequence, t2: Sequence) -> bool:
+    """Triple equivalence: same vertex and one-of-two betweenness conditions."""
+    a1, b1, c1 = (_point(p) for p in t1)
+    a2, b2, c2 = (_point(p) for p in t2)
+    for (a, b, c) in ((a1, b1, c1), (a2, b2, c2)):
+        if a == b or b == c or a == c:
+            raise DuplicatePointError("angle points must be pairwise distinct")
+        u = (a[0] - b[0], a[1] - b[1])
+        v = (c[0] - b[0], c[1] - b[1])
+        if u[0] * v[1] - u[1] * v[0] == 0:
+            raise CollinearError("points lie on a straight line")
+    if b1 != b2:
+        return False
+    cond1 = _same_ray(b1, a1, a2) and _same_ray(b1, c1, c2)
+    cond2 = _same_ray(b1, a1, c2) and _same_ray(b1, c1, a2)
+    return cond1 or cond2
+
+
+carry_value_add = _value_add
+carry_value_sub = _value_sub
+ray_angle_equiv = angle_equiv
+
+
+# -- the per-kind exact value ------------------------------------------------------
+# Reference for ``ratios.exact_value``: the quotient of ``magnitude_exact``, the
+# kind hook ``KindOps.exact`` with its four overrides, kept verbatim (each
+# override's body under its kind) as they were before the exact value was read
+# off the enclosure.
+
+def _kind_exact_default(a, kind) -> Optional[Fraction]:
+    enc = kinds.ops_for(kind).enclosure(a)
+    return enc.exact if enc is not None else None
+
+
+_KIND_EXACT = {
+    KindId.NATURALS: lambda a: Fraction(a),
+    KindId.POLYGON_CLASSES: lambda a: Fraction(a),  # inherits the naturals' override
+    KindId.SEGMENTS: lambda a: a.exact,
+    KindId.ANGLES: lambda a: None,
+    KindId.REGION_CLASSES: lambda a: a.exact if a.pi_factor == 0 else None,
+}
+
+
+def magnitude_exact(x: E.Magnitude) -> Optional[Fraction]:
+    exact = _KIND_EXACT.get(x.kind)
+    return exact(x.payload) if exact is not None else _kind_exact_default(x.payload, x.kind)
+
+
+def kind_exact_value(r: Ratio) -> Optional[Fraction]:
+    en, ed = magnitude_exact(r.num), magnitude_exact(r.den)
+    if en is None or ed is None:
+        return None
+    return en / ed
+
+
+def outcome(call: Callable[[], object]) -> tuple:
+    """("ok", result) or ("raised", error class, message): what a call did."""
+    try:
+        return ("ok", call())
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return ("raised", type(exc), str(exc))
 
 
 def random_fraction(rng: random.Random, max_num: int = 50) -> Fraction:

@@ -1,14 +1,24 @@
 """Angle construction, equivalence, the exact angle kind, and the measures."""
 
 import math
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 import eudoxos as E
-from conftest import assert_contains_value, halved_sincos, per_depth_turn
-from eudoxos.angles import AngleValue
+from conftest import (
+    assert_contains_value,
+    carry_value_add,
+    carry_value_sub,
+    halved_sincos,
+    outcome,
+    per_depth_turn,
+    ray_angle_equiv,
+)
+from eudoxos.angles import AngleValue, _value_add, _value_sub
 from eudoxos.archimedes import HalvingChain, pi_interval, precision_denominator
 from eudoxos.intervals import Interval
 
@@ -62,6 +72,78 @@ class TestEquivalence:
     def test_invalid_triples(self):
         with pytest.raises(E.CollinearError):
             E.angle_equiv([(1, 0), (0, 0), (3, 0)], [(1, 0), (0, 0), (0, 1)])
+
+
+def _angle_values() -> list[AngleValue]:
+    """Half-turns 0-3 with every primitive residual of |d|, x <= 9, or none."""
+    residuals = [None] + [
+        (d, x) for d in range(-9, 10) for x in range(1, 10) if gcd(abs(d), x) == 1
+    ]
+    return [AngleValue(h, r) for h in range(4) for r in residuals if (h, r) != (0, None)]
+
+
+class TestCarryReference:
+    """Addition and subtraction share one carry; both give what the two
+    carries gave, results and errors alike."""
+
+    def test_seeded_pairs(self):
+        values = _angle_values()
+        rng = random.Random(16)
+        pairs = [(rng.choice(values), rng.choice(values)) for _ in range(6000)]
+        # equal residuals reach the zero-angle and whole-half-turn branches
+        pairs += [(a, AngleValue(h, a.residual)) for a in values[::7] for h in range(4)
+                  if (h, a.residual) != (0, None)]
+        subtracted = 0
+        for a, b in pairs:
+            assert _value_add(a, b) == carry_value_add(a, b)
+            got = outcome(lambda: _value_sub(a, b))
+            assert got == outcome(lambda: carry_value_sub(a, b)), (a, b)
+            subtracted += got[0] == "ok"
+        assert 2000 < subtracted < len(pairs) - 2000
+
+    def test_whole_half_turn_differences(self):
+        for h in range(1, 4):
+            a, b = AngleValue(h, (3, 4)), AngleValue(0, (3, 4))
+            assert _value_sub(a, b) == carry_value_sub(a, b) == AngleValue(h, None)
+        with pytest.raises(E.NotGreaterError, match="angle minuend is not greater"):
+            _value_sub(AngleValue(1, (3, 4)), AngleValue(1, (3, 4)))
+
+
+def _random_triple(rng: random.Random, grid: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
+    return [(rng.choice(grid), rng.choice(grid)) for _ in range(3)]
+
+
+def _along(rng: random.Random, vertex, p):
+    """A point on the ray from vertex through p, or on its opposite ray."""
+    k = rng.choice([Fraction(1, 2), Fraction(2), Fraction(3, 2), Fraction(-1), Fraction(-1, 3)])
+    return (vertex[0] + k * (p[0] - vertex[0]), vertex[1] + k * (p[1] - vertex[1]))
+
+
+class TestEquivReference:
+    """Triple equivalence as equality of normalized angles answers, and
+    raises, as the ray-by-ray test did."""
+
+    def test_seeded_triple_pairs(self):
+        grid = [Fraction(n, 2) for n in range(-4, 5)]
+        rng = random.Random(16)
+        verdicts = {True: 0, False: 0}
+        for _ in range(6000):
+            t1 = _random_triple(rng, grid)
+            a, b, c = t1
+            kind = rng.randrange(4)
+            if kind == 0:  # a fresh triple
+                t2 = _random_triple(rng, grid)
+            elif kind == 1:  # shared vertex, arms moved along or across their rays
+                t2 = [_along(rng, b, a), b, _along(rng, b, c)]
+            elif kind == 2:  # shared vertex, arms swapped and moved
+                t2 = [_along(rng, b, c), b, _along(rng, b, a)]
+            else:  # shared vertex, one arm fresh
+                t2 = [a, b, (rng.choice(grid), rng.choice(grid))]
+            got = outcome(lambda: E.angle_equiv(t1, t2))
+            assert got == outcome(lambda: ray_angle_equiv(t1, t2)), (t1, t2)
+            if got[0] == "ok":
+                verdicts[got[1]] += 1
+        assert min(verdicts.values()) > 500
 
 
 class TestAngleKind:
@@ -153,7 +235,7 @@ class TestMeasures:
         a = E.angle_from_points((3, 0), (0, 0), (3, 4))
         for depth in (2, 6, 10):
             m1, m2 = (
-                E.arc_sup_b(E.Arc.from_angle(r, a)).at(depth).scale(1 / r)
+                E.arc_sup_b(E.Arc(r, angle=a)).at(depth).scale(1 / r)
                 for r in (Fraction(1), Fraction(7, 3))
             )
             assert m1.intersects(m2)
@@ -196,7 +278,7 @@ class TestMeasures:
         series = [
             (lambda: E.measure_m(a).value, 2 * windings, False, 1),
             (lambda: E.measure_mu(a).value, windings, True, 1),
-            (lambda: E.arc_sup_b(E.Arc.from_angle(r, a)), 2 * r * windings, False, r),
+            (lambda: E.arc_sup_b(E.Arc(r, angle=a)), 2 * r * windings, False, r),
         ]
         depths = range(17)
         for make, pi_multiple, sector, radius in series:
@@ -261,7 +343,7 @@ class TestMeasures:
 
         a = E.angle_from_points((1, 0), (0, 0), p, windings=1)
         r = Fraction(7, 3)
-        makers = [lambda: E.measure_mu(a).value, lambda: E.arc_sup_b(E.Arc.from_angle(r, a))]
+        makers = [lambda: E.measure_mu(a).value, lambda: E.arc_sup_b(E.Arc(r, angle=a))]
         depths = range(20)
 
         def series():

@@ -84,6 +84,23 @@ def test_measure_terminating(capsys):
     assert out.strip() == "1.25 (terminated)"
 
 
+def test_negative_enclosures_print_their_certain_digits(capsys):
+    code, out, _ = run(capsys, "sin", "--times-pi", "7/6", "--depth", "12")
+    assert code == 0
+    assert out.startswith("-0... [-2049/4096, -2047/4096]")
+    _, out, _ = run(capsys, "cos", "3", "--depth", "10")
+    assert out.startswith("-0.9... [")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_measure_negative_prefix_exits_1(capsys, fmt):
+    code, out, err = run(capsys, "measure", "--value", "1", "--unit", "3",
+                         "--prefix", "-1", "--format", fmt)
+    assert code == 1
+    assert "prefix length must be non-negative" in err
+    assert out == ""
+
+
 def test_measure_json(capsys):
     code, out, _ = run(
         capsys, "measure", "--value", "1/3", "--unit", "1", "--prefix", "6",

@@ -112,7 +112,7 @@ def test_region_kind_embedding_of_polygons():
     # the polygon kind embeds in the region kind: contents agree exactly
     poly = E.Polygon([(0, 0), (4, 0), (1, 3)])
     as_region = E.region_magnitude(E.Region([poly]))
-    assert E.magnitude_exact(as_region) == E.content(poly)
+    assert E.magnitude_enclosure(as_region).exact == E.content(poly)
     assert E.compare(
         as_region, E.region_magnitude(E.Region([E.unit_square()]))
     ) is E.Comparison.GREATER

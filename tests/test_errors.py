@@ -28,6 +28,10 @@ def _ratio():
     pytest.param(lambda: E.measure_positional(E.naturals(1), E.naturals(2), base=1), id="base"),
     pytest.param(lambda: E.stream_to_enclosure(
         E.measure_positional(E.naturals(1), E.naturals(2)), -1), id="prefix length"),
+    pytest.param(lambda: E.measure_positional(E.naturals(1), E.naturals(3)).prefix(-1),
+                 id="prefix length of a stream"),
+    pytest.param(lambda: E.render_stream(E.measure_positional(E.naturals(1), E.naturals(3)), -1),
+                 id="prefix length of a rendering"),
     pytest.param(lambda: E.rational_ratio(0), id="ratio value"),
     pytest.param(lambda: E.cut_member(_ratio(), 0, 1), id="cut query"),
     pytest.param(lambda: E.scale_rational(0, 1, _ratio()), id="scaling"),

@@ -9,6 +9,7 @@ import pytest
 
 import eudoxos as E
 from conftest import ShoelacePolygon, random_convex_polygon, shoelace
+from eudoxos.polygons import as_magnitude
 from eudoxos.ratios import exact_value
 
 PYTHAGOREAN_ROTATIONS = [
@@ -80,11 +81,11 @@ def test_rho1_examples():
 
 def test_compare_content():
     sq, tri = E.unit_square(), E.Polygon([(0, 0), (1, 0), (0, 1)])
-    assert E.compare_content(sq, tri) is E.Comparison.GREATER
-    assert E.compare_content(sq, sq) is E.Comparison.EQUAL
+    assert E.compare(as_magnitude(sq), as_magnitude(tri)) is E.Comparison.GREATER
+    assert E.compare(as_magnitude(sq), as_magnitude(sq)) is E.Comparison.EQUAL
     a = E.rectangle(Fraction(2, 3), 1)
     b = E.rectangle(Fraction(3, 4), 1)
-    assert E.compare_content(a, b) is E.Comparison.LESS
+    assert E.compare(as_magnitude(a), as_magnitude(b)) is E.Comparison.LESS
 
 
 def test_additivity_on_random_fans(rng):

@@ -146,6 +146,21 @@ def test_decimal_display():
     assert decimal_display(E.Interval(Fraction(1, 2), Fraction(3, 2))) in ("", "0...", "1...")
 
 
+@pytest.mark.parametrize("lo, hi, shown", [
+    (Fraction(-2049, 4096), Fraction(-2047, 4096), "-0..."),  # around -1/2
+    (Fraction(-507, 512), Fraction(-1013, 1024), "-0.9..."),  # around cos 3
+    (Fraction(-775, 1024), Fraction(-387, 512), "-0.75..."),  # around sin 4
+    (Fraction(-5, 2), Fraction(-5, 2), "-2.500000000000..."),
+    (Fraction(-1, 3), Fraction(1, 3), ""),
+])
+def test_decimal_display_below_zero(lo, hi, shown):
+    # below zero the certain digits are those of the mirror, after a minus sign
+    iv = E.Interval(lo, hi)
+    assert decimal_display(iv) == shown
+    if hi < 0:
+        assert shown == "-" + decimal_display(-iv)
+
+
 def test_digit_oracles_share_the_deepest_depth(monkeypatch):
     # each digit's oracle at its finer eps resumes where the digits before
     # it stopped, instead of walking the value enclosure from depth 0 again

@@ -122,30 +122,30 @@ class TestPiBounds:
 
 class TestArcs:
     def test_full_circle(self):
-        arc = E.arc_sup_b(E.Arc.from_turns(1, 1))
+        arc = E.arc_sup_b(E.Arc(1, turns=1))
         iv = arc.at(8)
         two_pi = E.pi_interval(8).scale(2)
         assert iv.intersects(two_pi)
         assert_contains_value(iv, 2 * math.pi)
 
     def test_quarter_circle_from_angle(self):
-        arc = E.arc_sup_b(E.Arc.from_angle(1, E.right_angle()))
+        arc = E.arc_sup_b(E.Arc(1, angle=E.right_angle()))
         assert_contains_value(arc.at(10), math.pi / 2)
 
     def test_empty_arc_rejected(self):
         with pytest.raises(E.EmptyArcError):
-            E.Arc.from_turns(1, 0)
+            E.Arc(1, turns=0)
 
     def test_additivity(self):
-        a1 = E.arc_sup_b(E.Arc.from_turns(1, Fraction(1, 8)))
-        a2 = E.arc_sup_b(E.Arc.from_turns(1, Fraction(3, 8)))
-        concat = E.arc_sup_b(E.Arc.from_turns(1, Fraction(1, 2)))
+        a1 = E.arc_sup_b(E.Arc(1, turns=Fraction(1, 8)))
+        a2 = E.arc_sup_b(E.Arc(1, turns=Fraction(3, 8)))
+        concat = E.arc_sup_b(E.Arc(1, turns=Fraction(1, 2)))
         d = 8
         assert concat.at(d).intersects(a1.at(d) + a2.at(d))
 
     def test_windings_in_angle_arcs(self):
         a = E.angle_from_points((1, 0), (0, 0), (0, 1), windings=1)
-        iv = E.arc_sup_b(E.Arc.from_angle(1, a)).at(8)
+        iv = E.arc_sup_b(E.Arc(1, angle=a)).at(8)
         assert_contains_value(iv, 2 * math.pi + math.pi / 2)
 
 
@@ -164,7 +164,7 @@ class TestSectors:
 
     def test_two_sector_equals_r_times_arc(self):
         s = E.Sector((0, 0), Fraction(3, 2), Fraction(1, 8), Fraction(1, 3))
-        arc = E.arc_sup_b(E.Arc.from_turns(Fraction(3, 2), Fraction(1, 3)))
+        arc = E.arc_sup_b(E.Arc(Fraction(3, 2), turns=Fraction(1, 3)))
         for d in range(0, 12, 3):
             two_sector = E.sector_content(s).at(d).scale(2)
             r_arc = arc.at(d).scale(Fraction(3, 2))

@@ -206,10 +206,6 @@ class TestAnalyticCosine:
         square_sum = s * s + c * c
         assert square_sum.contains(1)
 
-    def test_tan_quotient(self):
-        iv = E.tan_analytic(Fraction(1, 2), 10)
-        assert_contains_value(iv, math.tan(0.5))
-
 
 class TestBisectionReference:
     """One bisection for both bounds gives every interval the mirrored pair gave."""
