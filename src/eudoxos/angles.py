@@ -45,7 +45,6 @@ from .errors import (
     DomainError,
     DuplicatePointError,
     NotAcuteError,
-    NotGreaterError,
     ZeroMagnitudeError,
 )
 from .intervals import Interval, Rat, exact_sqrt, sqrt_down, sqrt_interval, sqrt_up
@@ -202,8 +201,7 @@ def _value_compare(a: AngleValue, b: AngleValue) -> Comparison:
 
 
 def _value_sub(a: AngleValue, b: AngleValue) -> AngleValue:
-    if _value_compare(a, b) is not Comparison.GREATER:
-        raise NotGreaterError("angle minuend is not greater")
+    """a - b for a > b; ``kinds.sub`` certifies the order first."""
     if b.residual is None:
         return AngleValue(a.half_turns - b.half_turns, a.residual)
     # a - b = a + (pi - b) - (h_b + 1) pi, where pi - t has direction (-d, x);
@@ -254,11 +252,6 @@ class _AnglesOps(KindOps):
     exact_compare = True  # canonical direction pairs give a total exact order
     kind = KindId.ANGLES
 
-    def validate(self, payload):
-        if not isinstance(payload, AngleValue):
-            raise ZeroMagnitudeError("angle payload must be an AngleValue")
-        return payload
-
     def add(self, a, b):
         return _value_add(a, b)
 
@@ -278,7 +271,7 @@ class _AnglesOps(KindOps):
     def compare(self, a, b, res):
         return _value_compare(a, b)
 
-    def sub(self, a, b, res):
+    def sub(self, a, b):
         return _value_sub(a, b)
 
     def enclosure(self, a):

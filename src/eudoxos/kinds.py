@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from itertools import count
+from typing import Any, Callable, Iterable, Optional
 
 from .enclosures import RealEnclosure
 from .errors import (
@@ -105,9 +106,6 @@ class KindOps:
     kind: KindId
     exact_compare = False  # True when compare never answers Indistinguishable
 
-    def validate(self, payload):
-        return payload
-
     def add(self, a, b):
         raise NotImplementedError
 
@@ -123,7 +121,8 @@ class KindOps:
             return Comparison.EQUAL
         return compare_enclosures(ea, eb, res)
 
-    def sub(self, a, b, res: Resolution):
+    def sub(self, a, b):
+        """The difference a - b, called only once a > b is certified."""
         raise NotImplementedError
 
     def enclosure(self, a) -> Optional[RealEnclosure]:
@@ -136,31 +135,37 @@ def compare_enclosures(ea: RealEnclosure, eb: RealEnclosure, res: Resolution) ->
         return Comparison.EQUAL
     if ea.exact is not None and eb.exact is not None:
         return total_order(ea.exact, eb.exact)
-    depth = _separating_depth(ea, eb, res)
-    if depth is None:
-        return Comparison.INDISTINGUISHABLE
-    ia, ib = ea.at(depth), eb.at(depth)
-    return Comparison.LESS if ia.hi < ib.lo else Comparison.GREATER
-
-
-def _separating_depth(ea: RealEnclosure, eb: RealEnclosure, res: Resolution) -> Optional[int]:
     for depth in range(res.depth_cap + 1):
         ia, ib = ea.at(depth), eb.at(depth)
-        if ia.hi < ib.lo or ia.lo > ib.hi:
-            return depth
+        if ia.hi < ib.lo:
+            return Comparison.LESS
+        if ia.lo > ib.hi:
+            return Comparison.GREATER
         if ia.width < res.eps and ib.width < res.eps:
-            return None
-    return None
+            break
+    return Comparison.INDISTINGUISHABLE
+
+
+def _positive_from(enc: RealEnclosure, depths: Iterable[int]) -> RealEnclosure:
+    """``enc`` read from its first depth in ``depths`` with a positive lower
+    end: a shallower depth reads that one, so every depth read is positive.
+
+    ``enc`` itself when that depth is 0.  Raises ZeroMagnitudeError when the
+    depths run out, or one of them certifies the value is not positive.
+    """
+    for base in depths:
+        iv = enc.at(base)
+        if iv.lo > 0:
+            if base == 0:
+                return enc
+            return RealEnclosure(lambda d: enc.at(max(d, base)), exact=enc.exact, name=enc.name)
+        if iv.hi <= 0:
+            break
+    raise ZeroMagnitudeError("could not certify the enclosure positive")
 
 
 class _NaturalsOps(KindOps):
-    exact_compare = True
     kind = KindId.NATURALS
-
-    def validate(self, payload):
-        if not isinstance(payload, int) or payload < 1:
-            raise ZeroMagnitudeError(f"natural magnitude must be a positive integer, got {payload!r}")
-        return payload
 
     def add(self, a, b):
         return a + b
@@ -171,9 +176,7 @@ class _NaturalsOps(KindOps):
     def compare(self, a, b, res):
         return total_order(a, b)
 
-    def sub(self, a, b, res):
-        if a <= b:
-            raise NotGreaterError(f"{a} is not greater than {b}")
+    def sub(self, a, b):
         return a - b
 
     def enclosure(self, a):
@@ -184,12 +187,6 @@ class _PolygonClassesOps(_NaturalsOps):
     """Equal-content classes: the naturals' arithmetic on rational contents."""
 
     kind = KindId.POLYGON_CLASSES
-
-    def validate(self, payload):
-        payload = Fraction(payload)
-        if payload <= 0:
-            raise ZeroMagnitudeError("polygon class content must be positive")
-        return payload
 
 
 class _LexPairsOps(KindOps):
@@ -203,14 +200,6 @@ class _LexPairsOps(KindOps):
     exact_compare = True
     kind = KindId.LEX_PAIRS
 
-    def validate(self, payload):
-        a, b = payload
-        if not (isinstance(a, int) and isinstance(b, int)):
-            raise ZeroMagnitudeError("lex pair components must be integers")
-        if a < 0 or b < 0 or (a == 0 and b == 0):
-            raise ZeroMagnitudeError("lex pair must be non-negative and not both zero")
-        return (a, b)
-
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
 
@@ -223,9 +212,7 @@ class _LexPairsOps(KindOps):
     def never_exceeds(self, a, b):
         return a[0] == 0 and b[0] > 0
 
-    def sub(self, a, b, res):
-        if not b < a:
-            raise NotGreaterError(f"{a} is not greater than {b}")
+    def sub(self, a, b):
         d = (a[0] - b[0], a[1] - b[1])
         if d[0] < 0 or d[1] < 0 or d == (0, 0):
             raise NoWitnessError(f"no pair z satisfies {b} + z = {a}")
@@ -235,28 +222,16 @@ class _LexPairsOps(KindOps):
 class _SegmentsOps(KindOps):
     kind = KindId.SEGMENTS
 
-    def validate(self, payload):
-        if not isinstance(payload, RealEnclosure):
-            raise ZeroMagnitudeError("segment payload must be a RealEnclosure")
-        return payload
-
     def add(self, a, b):
         return a + b
 
     def kmul(self, n, a):
         return a.scale(n)
 
-    def sub(self, a, b, res):
-        depth = _separating_depth(a, b, res)
-        if depth is None:
-            raise IndistinguishableError("segments indistinguishable at resolution")
-        if a.at(depth).hi < b.at(depth).lo:
-            raise NotGreaterError("minuend segment is not greater")
-        base = depth
-        return RealEnclosure(
-            lambda d: a.at(max(d, base)) - b.at(max(d, base)),
-            exact=(a.exact - b.exact) if (a.exact is not None and b.exact is not None) else None,
-        )
+    def sub(self, a, b):
+        # a > b is certified, so some depth separates them and a - b is
+        # positive there: the walk ends
+        return _positive_from(a - b, count())
 
     def enclosure(self, a):
         return a
@@ -285,15 +260,24 @@ register_kind(_SegmentsOps())
 # -- constructors ------------------------------------------------------------
 
 def naturals(n: int) -> Magnitude:
-    return Magnitude(KindId.NATURALS, ops_for(KindId.NATURALS).validate(n))
+    if not isinstance(n, int) or n < 1:
+        raise ZeroMagnitudeError(f"natural magnitude must be a positive integer, got {n!r}")
+    return Magnitude(KindId.NATURALS, n)
 
 
 def lex_pair(a: int, b: int) -> Magnitude:
-    return Magnitude(KindId.LEX_PAIRS, ops_for(KindId.LEX_PAIRS).validate((a, b)))
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise ZeroMagnitudeError("lex pair components must be integers")
+    if a < 0 or b < 0 or (a == 0 and b == 0):
+        raise ZeroMagnitudeError("lex pair must be non-negative and not both zero")
+    return Magnitude(KindId.LEX_PAIRS, (a, b))
 
 
 def polygon_class(content: Rat) -> Magnitude:
-    return Magnitude(KindId.POLYGON_CLASSES, ops_for(KindId.POLYGON_CLASSES).validate(content))
+    content = Fraction(content)
+    if content <= 0:
+        raise ZeroMagnitudeError("polygon class content must be positive")
+    return Magnitude(KindId.POLYGON_CLASSES, content)
 
 
 def segment_rational(value: Rat) -> Magnitude:
@@ -311,21 +295,21 @@ def segment_sqrt(value: Rat) -> Magnitude:
     root = exact_sqrt(value)
     if root is not None:
         return segment_rational(root)
+    # the root rounded down at 2^-(48+4d) is positive iff value >= 2^-(96+8d);
+    # depths below the least such d, found from the value, read that one
+    p, q = value.numerator, value.denominator
+    shift = max(q.bit_length() - p.bit_length(), 0)
+    shift += p << shift < q  # the least k with value * 2^k >= 1
+    base = max(0, -((96 - shift) // 8))
     point = Interval.point(value)
     enc = RealEnclosure(
-        lambda d: sqrt_interval(point, 1 << (48 + 4 * d)), name=f"sqrt({value})"
+        lambda d: sqrt_interval(point, 1 << (48 + 4 * max(d, base))), name=f"sqrt({value})"
     )
     return Magnitude(KindId.SEGMENTS, enc)
 
 
 def segment_from_enclosure(enc: RealEnclosure) -> Magnitude:
-    for depth in range(64):
-        iv = enc.at(depth)
-        if iv.lo > 0:
-            return Magnitude(KindId.SEGMENTS, enc)
-        if iv.hi <= 0:
-            break
-    raise ZeroMagnitudeError("could not certify the enclosure positive")
+    return Magnitude(KindId.SEGMENTS, _positive_from(enc, range(64)))
 
 
 # -- operations --------------------------------------------------------------
@@ -355,8 +339,16 @@ def compare(x: Magnitude, y: Magnitude, res: Resolution = DEFAULT_RESOLUTION) ->
 
 
 def sub(x: Magnitude, y: Magnitude, res: Resolution = DEFAULT_RESOLUTION) -> Magnitude:
+    """Partial subtraction: x - y exists exactly when y < x in the kind's order."""
     ops = _require_same_kind(x, y)
-    return Magnitude(x.kind, ops.sub(x.payload, y.payload, res))
+    order = ops.compare(x.payload, y.payload, res)
+    if order is Comparison.INDISTINGUISHABLE:
+        raise IndistinguishableError(
+            f"{x.payload} and {y.payload} are indistinguishable at resolution {res.eps}"
+        )
+    if order is not Comparison.GREATER:
+        raise NotGreaterError(f"{x.payload} is not greater than {y.payload}")
+    return Magnitude(x.kind, ops.sub(x.payload, y.payload))
 
 
 def _gallop(holds: Callable[[int], bool], k: int = 0) -> int:

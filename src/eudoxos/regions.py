@@ -25,11 +25,10 @@ from .errors import (
     DomainError,
     EmptyArcError,
     NotDisjointError,
-    NotGreaterError,
     ZeroMagnitudeError,
 )
 from .intervals import Interval
-from .kinds import Comparison, KindId, KindOps, Magnitude, magnitude_enclosure, register_kind
+from .kinds import KindId, KindOps, Magnitude, magnitude_enclosure, register_kind
 from .polygons import Point, Polygon, content, parse_coordinate
 
 __all__ = [
@@ -91,15 +90,24 @@ class Arc:
     angle: Optional[Angle] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", Fraction(self.radius))
+        object.__setattr__(self, "radius", _rational(self.radius, "arc radius"))
         if self.radius <= 0:
             raise DomainError("arc radius must be positive")
         if (self.turns is None) == (self.angle is None):
             raise DomainError("give exactly one of turns or angle")
+        if self.angle is not None and not isinstance(self.angle, Angle):
+            raise DomainError(f"arc angle must be an Angle, got {self.angle!r}")
         if self.turns is not None:
-            object.__setattr__(self, "turns", Fraction(self.turns))
+            object.__setattr__(self, "turns", _rational(self.turns, "arc turns"))
             if self.turns <= 0:
                 raise EmptyArcError("arc extent must be positive")
+
+
+def _rational(value, what: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise DomainError(f"{what} must be a rational, got {value!r}") from None
 
 
 def arc_sup_b(c: Arc) -> RealEnclosure:
@@ -271,11 +279,6 @@ def region_eta(x: Region, y: Region, depth: int) -> EtaResult:
 class _RegionClassesOps(KindOps):
     kind = KindId.REGION_CLASSES
 
-    def validate(self, payload):
-        if not isinstance(payload, _RegionClassValue):
-            raise ZeroMagnitudeError("region payload must come from region_magnitude")
-        return payload
-
     def add(self, a, b):
         # classes add without placement: disjoint representatives always
         # exist after translation
@@ -284,9 +287,7 @@ class _RegionClassesOps(KindOps):
     def kmul(self, n, a):
         return _RegionClassValue(n * a.exact, n * a.pi_factor)
 
-    def sub(self, a, b, res):
-        if self.compare(a, b, res) is not Comparison.GREATER:
-            raise NotGreaterError("region minuend not certified greater")
+    def sub(self, a, b):
         return _RegionClassValue(a.exact - b.exact, a.pi_factor - b.pi_factor)
 
     def enclosure(self, a):

@@ -34,14 +34,16 @@ from eudoxos.errors import (
     CollinearError,
     DegeneratePolygonError,
     DuplicatePointError,
+    IndistinguishableError,
     NotGreaterError,
+    NoWitnessError,
     SelfIntersectionError,
 )
 from eudoxos.intervals import Interval, exact_sqrt, sqrt_interval
-from eudoxos.kinds import Comparison, KindId, Resolution, compare, kmul
-from eudoxos.polygons import point, segments_intersect
+from eudoxos.kinds import DEFAULT_RESOLUTION, Comparison, KindId, Resolution, compare, kmul
+from eudoxos.polygons import as_magnitude, point, segments_intersect
 from eudoxos.ratios import CutSide, Ratio, exact_value, value_enclosure
-from eudoxos.regions import BranchScan, Xii2Record
+from eudoxos.regions import BranchScan, Xii2Record, _RegionClassValue
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -755,6 +757,119 @@ def kind_exact_value(r: Ratio) -> Optional[Fraction]:
     if en is None or ed is None:
         return None
     return en / ed
+
+
+# -- the per-kind order checks of partial subtraction -----------------------------
+# References for ``kinds.sub``: the five per-kind ``sub`` methods and
+# ``kinds._separating_depth``, kept verbatim (each method's body under its
+# kind) as they were before partial subtraction took its order from
+# ``compare`` once.  The angle kind's method called the order-checking
+# ``angles._value_sub`` of that time, kept here as ``checked_value_sub``.
+
+def _separating_depth(ea: E.RealEnclosure, eb: E.RealEnclosure, res: Resolution) -> Optional[int]:
+    for depth in range(res.depth_cap + 1):
+        ia, ib = ea.at(depth), eb.at(depth)
+        if ia.hi < ib.lo or ia.lo > ib.hi:
+            return depth
+        if ia.width < res.eps and ib.width < res.eps:
+            return None
+    return None
+
+
+def _naturals_sub(self, a, b, res):
+    if a <= b:
+        raise NotGreaterError(f"{a} is not greater than {b}")
+    return a - b
+
+
+def _lex_pairs_sub(self, a, b, res):
+    if not b < a:
+        raise NotGreaterError(f"{a} is not greater than {b}")
+    d = (a[0] - b[0], a[1] - b[1])
+    if d[0] < 0 or d[1] < 0 or d == (0, 0):
+        raise NoWitnessError(f"no pair z satisfies {b} + z = {a}")
+    return d
+
+
+def _segments_sub(self, a, b, res):
+    depth = _separating_depth(a, b, res)
+    if depth is None:
+        raise IndistinguishableError("segments indistinguishable at resolution")
+    if a.at(depth).hi < b.at(depth).lo:
+        raise NotGreaterError("minuend segment is not greater")
+    base = depth
+    return E.RealEnclosure(
+        lambda d: a.at(max(d, base)) - b.at(max(d, base)),
+        exact=(a.exact - b.exact) if (a.exact is not None and b.exact is not None) else None,
+    )
+
+
+def checked_value_sub(a: AngleValue, b: AngleValue) -> AngleValue:
+    if _value_compare(a, b) is not Comparison.GREATER:
+        raise NotGreaterError("angle minuend is not greater")
+    if b.residual is None:
+        return AngleValue(a.half_turns - b.half_turns, a.residual)
+    # a - b = a + (pi - b) - (h_b + 1) pi, where pi - t has direction (-d, x);
+    # a > b keeps the half-turn count non-negative
+    d, x = b.residual
+    s = _value_add(a, AngleValue(0, (-d, x)))
+    return AngleValue(s.half_turns - b.half_turns - 1, s.residual)
+
+
+def _angles_sub(self, a, b, res):
+    return checked_value_sub(a, b)
+
+
+def _region_classes_sub(self, a, b, res):
+    if self.compare(a, b, res) is not Comparison.GREATER:
+        raise NotGreaterError("region minuend not certified greater")
+    return _RegionClassValue(a.exact - b.exact, a.pi_factor - b.pi_factor)
+
+
+_PER_KIND_SUB = {
+    KindId.NATURALS: _naturals_sub,
+    KindId.POLYGON_CLASSES: _naturals_sub,  # inherits the naturals' method
+    KindId.LEX_PAIRS: _lex_pairs_sub,
+    KindId.SEGMENTS: _segments_sub,
+    KindId.ANGLES: _angles_sub,
+    KindId.REGION_CLASSES: _region_classes_sub,
+}
+
+
+def per_kind_sub(x: E.Magnitude, y: E.Magnitude, res: Resolution = DEFAULT_RESOLUTION) -> E.Magnitude:
+    sub = _PER_KIND_SUB[x.kind]
+    return E.Magnitude(x.kind, sub(kinds.ops_for(x.kind), x.payload, y.payload, res))
+
+
+def magnitudes_of_every_kind(rng: random.Random) -> list[list[E.Magnitude]]:
+    """Seeded magnitudes, one list per kind, with and without exact values."""
+    q = lambda: Fraction(rng.randint(1, 30), rng.randint(1, 12))  # noqa: E731
+    square = lambda: E.rectangle(q(), q())  # noqa: E731
+    segs = [E.segment_rational(q()) for _ in range(4)]
+    segs += [E.segment_sqrt(q()) for _ in range(4)] + [E.segment_sqrt(Fraction(9, 4))]
+    segs += [E.add(segs[0], segs[4]), E.kmul(3, segs[5]), E.add(segs[1], segs[2])]
+    big, small = sorted(segs[:2], key=lambda s: s.payload.exact, reverse=True)
+    if big.payload.exact != small.payload.exact:
+        segs.append(E.sub(big, small))
+    # a root whose depth-0 rounding reaches zero, and an enclosure first
+    # positive at depth 2: read from a positive depth, both are positive
+    root2 = E.magnitude_enclosure(E.segment_sqrt(2))
+    segs += [E.segment_sqrt(Fraction(1, 2**201)),
+             E.segment_from_enclosure(root2 - E.RealEnclosure.from_fraction(Fraction("1.414213562373095")))]
+    angles = [E.angle_magnitude(E.angle_from_points((1, 0), (0, 0), (rng.randint(-5, 5), rng.randint(1, 5))))
+              for _ in range(4)] + [E.angle_magnitude(E.Angle.turns(1))]
+    regions = [E.region_magnitude(E.Region([square()])) for _ in range(3)]
+    regions += [E.region_magnitude(E.Region([E.disk((0, 0), q())])),
+                E.region_magnitude(E.Region([square(), E.Sector((100, 100), q(), 0, Fraction(1, 3))]))]
+    regions.append(E.add(regions[0], regions[1]))
+    return [
+        [E.naturals(rng.randint(1, 40)) for _ in range(4)],
+        [E.polygon_class(q()) for _ in range(3)] + [as_magnitude(square())],
+        segs,
+        angles,
+        regions,
+        [E.lex_pair(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(3)] + [E.lex_pair(2, 0)],
+    ]
 
 
 def outcome(call: Callable[[], object]) -> tuple:

@@ -165,9 +165,11 @@ def test_shared_depth_stops_at_a_lower_cap():
 @pytest.mark.parametrize("lo_offset", [F(2**20), F(4, 3) * 2**16])
 def test_window_below_zero_still_scans(lo_offset):
     # a valid enclosure of 1/3 whose depth-16 hull reaches below -1 (or to
-    # exactly -1): the candidate window starts at 0, not at the hull
+    # exactly -1): the candidate window starts at 0, not at the hull.  The
+    # segment is built from the bare enclosure: segment_from_enclosure would
+    # read it from its first positive depth on
     enc = E.RealEnclosure(lambda d: Interval(F(1, 3) - lo_offset / 2**d, F(1, 3) + F(1, 2**d)))
-    r = E.ratio(E.segment_from_enclosure(enc), E.segment_rational(1))
+    r = E.ratio(E.Magnitude(E.KindId.SEGMENTS, enc), E.segment_rational(1))
     assert ratios._hull(r).lo <= -1
     five = E.rational_ratio(5)
     for verdict in (E.eq_E, E.eq_L):

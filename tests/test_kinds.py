@@ -1,12 +1,15 @@
 """Magnitude kinds: worked examples plus the algebraic laws."""
 
+import random
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 import eudoxos as E
-from conftest import bisect_root
+from conftest import bisect_root, magnitudes_of_every_kind, outcome, per_kind_sub
 
 naturals_vals = st.integers(min_value=1, max_value=50)
 lex_vals = st.tuples(
@@ -92,6 +95,104 @@ def test_sub_examples():
         E.sub(E.naturals(2), E.naturals(5))
     with pytest.raises(E.NoWitnessError):
         E.sub(E.lex_pair(2, 3), E.lex_pair(1, 5))
+
+
+def test_sub_of_equal_segments_is_not_greater():
+    # compare says EQUAL, so the order refuses the difference
+    one = E.segment_rational(1)
+    with pytest.raises(E.NotGreaterError, match="is not greater than"):
+        E.sub(one, E.segment_rational(1))
+    root2 = E.segment_sqrt(2)
+    with pytest.raises(E.NotGreaterError, match="is not greater than"):
+        E.sub(root2, root2)
+
+
+def test_sub_of_indistinguishable_region_classes():
+    # pi to 39 decimals: the unit disk and the rectangle do not separate at
+    # 2^-53, so the difference is not refused as "not greater"
+    q = Fraction("3.141592653589793238462643383279502884197")
+    disk = E.region_magnitude(E.Region([E.disk((0, 0), 1)]))
+    rect = E.region_magnitude(E.Region([E.rectangle(q, 1)]))
+    assert E.compare(disk, rect) is E.Comparison.INDISTINGUISHABLE
+    with pytest.raises(E.IndistinguishableError, match="indistinguishable at resolution"):
+        E.sub(disk, rect)
+    with pytest.raises(E.NotGreaterError):  # what the per-kind check raised
+        per_kind_sub(disk, rect)
+
+
+def test_a_small_root_is_positive_at_depth_0():
+    # sqrt(2^-201) rounded down at 2^-48 is 0: each read below divided by zero
+    t = E.segment_sqrt(Fraction(1, 2**201))
+    one = E.segment_rational(1)
+    assert E.cut_member(E.ratio(one, t), 1, 1) is E.CutSide.BELOW
+    iv = E.to_real(E.ratio(one, t)).at(2)
+    assert isqrt(2**201) <= iv.lo and iv.hi <= isqrt(2**201) + 1
+    assert E.measure_positional(one, t).int_part == isqrt(2**201)
+    assert E.magnitude_enclosure(t).at(0).lo > 0
+
+
+def test_a_product_with_a_small_root_inverts():
+    t = E.ratio(E.segment_sqrt(Fraction(1, 2**201)), E.segment_rational(1))
+    root2 = E.ratio(E.segment_sqrt(2), E.segment_rational(1))
+    assert E.cut_member(E.inverse(E.mul_ratio(t, root2)), 1, 1) is E.CutSide.BELOW
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_segment_is_positive_at_every_depth(seed):
+    segments = magnitudes_of_every_kind(random.Random(seed))[2]
+    for seg in segments:
+        enc = E.magnitude_enclosure(seg)
+        assert all(enc.at(depth).lo > 0 for depth in range(13)), seg
+
+
+def _documented_change(x, order, got, ref) -> bool:
+    """The two error classes that moved when the order check became one."""
+    if x.kind is E.KindId.SEGMENTS and order is E.Comparison.EQUAL:
+        return ref[1] is E.IndistinguishableError and got[1] is E.NotGreaterError
+    if x.kind is E.KindId.REGION_CLASSES and order is E.Comparison.INDISTINGUISHABLE:
+        return ref[1] is E.NotGreaterError and got[1] is E.IndistinguishableError
+    return False
+
+
+def _meet_at_every_depth(a: E.Magnitude, b: E.Magnitude) -> bool:
+    ea, eb = E.magnitude_enclosure(a), E.magnitude_enclosure(b)
+    return all(ea.at(d).intersects(eb.at(d)) for d in range(13))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sub_is_partial_subtraction_from_the_order(seed):
+    """sub refuses exactly what compare does not order above, y + (x - y)
+    gives x back, and the per-kind methods gave the same answers."""
+    seen = Counter()
+    for group in magnitudes_of_every_kind(random.Random(seed)):
+        for x in group:
+            for y in group:
+                order = E.compare(x, y)
+                got = outcome(lambda: E.sub(x, y))
+                if order is E.Comparison.INDISTINGUISHABLE:
+                    assert got[:2] == ("raised", E.IndistinguishableError)
+                elif order is not E.Comparison.GREATER:
+                    assert got[:2] == ("raised", E.NotGreaterError)
+                    assert got[2] == f"{x.payload} is not greater than {y.payload}"
+                elif got[0] == "raised":  # the quasi-kind's missing difference
+                    assert x.kind is E.KindId.LEX_PAIRS and got[1] is E.NoWitnessError
+                elif x.kind is E.KindId.SEGMENTS:
+                    assert _meet_at_every_depth(E.add(y, got[1]), x)
+                else:
+                    assert E.add(y, got[1]) == x
+                seen[got[0] if got[0] == "ok" else got[1]] += 1
+
+                ref = outcome(lambda: per_kind_sub(x, y))
+                if _documented_change(x, order, got, ref):
+                    seen["changed"] += 1
+                elif got[0] == "raised":
+                    assert ref[:2] == got[:2], (x, y)
+                elif x.kind is E.KindId.SEGMENTS:
+                    assert ref[0] == "ok" and _meet_at_every_depth(ref[1], got[1])
+                    assert ref[1].payload.exact == got[1].payload.exact
+                else:
+                    assert ref == got
+    assert seen["ok"] and seen[E.NotGreaterError] and seen["changed"], seen
 
 
 def test_sub_segments_round_trip():

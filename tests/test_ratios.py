@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eudoxos as E
-from conftest import assert_contains_fraction, bisect_root, kind_exact_value
-from eudoxos.polygons import as_magnitude
+from conftest import (
+    assert_contains_fraction,
+    bisect_root,
+    kind_exact_value,
+    magnitudes_of_every_kind,
+)
 from eudoxos.ratios import exact_value
 
 SQRT2_LO, SQRT2_HI = bisect_root(Fraction(2), 10)
@@ -311,38 +315,12 @@ def test_eq_E_matches_value_equality_on_naturals(a, b, c, d):
     assert v.is_proportional == (Fraction(a, b) == Fraction(c, d))
 
 
-def _magnitudes_of_every_kind(rng: random.Random) -> list[list[E.Magnitude]]:
-    """Seeded magnitudes, one list per kind, with and without exact values."""
-    q = lambda: Fraction(rng.randint(1, 30), rng.randint(1, 12))  # noqa: E731
-    square = lambda: E.rectangle(q(), q())  # noqa: E731
-    segs = [E.segment_rational(q()) for _ in range(4)]
-    segs += [E.segment_sqrt(q()) for _ in range(4)] + [E.segment_sqrt(Fraction(9, 4))]
-    segs += [E.add(segs[0], segs[4]), E.kmul(3, segs[5]), E.add(segs[1], segs[2])]
-    big, small = sorted(segs[:2], key=lambda s: s.payload.exact, reverse=True)
-    if big.payload.exact != small.payload.exact:
-        segs.append(E.sub(big, small))
-    angles = [E.angle_magnitude(E.angle_from_points((1, 0), (0, 0), (rng.randint(-5, 5), rng.randint(1, 5))))
-              for _ in range(4)] + [E.angle_magnitude(E.Angle.turns(1))]
-    regions = [E.region_magnitude(E.Region([square()])) for _ in range(3)]
-    regions += [E.region_magnitude(E.Region([E.disk((0, 0), q())])),
-                E.region_magnitude(E.Region([square(), E.Sector((100, 100), q(), 0, Fraction(1, 3))]))]
-    regions.append(E.add(regions[0], regions[1]))
-    return [
-        [E.naturals(rng.randint(1, 40)) for _ in range(4)],
-        [E.polygon_class(q()) for _ in range(3)] + [as_magnitude(square())],
-        segs,
-        angles,
-        regions,
-        [E.lex_pair(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(3)] + [E.lex_pair(2, 0)],
-    ]
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_exact_value_is_the_enclosure_exact(seed):
     """exact_value reads the value enclosure and gives what the per-kind
     exact hooks gave, on ratios of every kind."""
     found = {True: 0, False: 0}
-    for group in _magnitudes_of_every_kind(random.Random(seed)):
+    for group in magnitudes_of_every_kind(random.Random(seed)):
         for num in group:
             for den in group:
                 r = E.ratio(num, den)

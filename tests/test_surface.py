@@ -1,6 +1,7 @@
 """The public surface of the package, pinned name by name."""
 
 import eudoxos as E
+from eudoxos.kinds import KindOps
 
 PUBLIC_NAMES = [
     "Angle", "AngleMeasure", "AngleUnit", "Arc", "CollinearError", "Comparison",
@@ -38,3 +39,10 @@ def test_public_surface_is_pinned():
 
 def test_every_public_name_resolves():
     assert all(hasattr(E, name) for name in E.__all__)
+
+
+def test_kind_protocol_is_pinned():
+    # the hooks a kind supplies; one that no caller uses cannot come back
+    # unnoticed
+    hooks = sorted(name for name in dir(KindOps) if not name.startswith("_"))
+    assert hooks == ["add", "compare", "enclosure", "exact_compare", "never_exceeds", "sub"]
