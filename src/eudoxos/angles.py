@@ -47,7 +47,7 @@ from .errors import (
     NotAcuteError,
     ZeroMagnitudeError,
 )
-from .intervals import Interval, Rat, exact_sqrt, sqrt_down, sqrt_interval, sqrt_up
+from .intervals import Interval, Rat, exact_sqrt, sqrt_interval
 from .kinds import KindId, KindOps, Magnitude, Comparison, register_kind, total_order
 
 Point = tuple[Fraction, Fraction]
@@ -214,11 +214,8 @@ def _value_sub(a: AngleValue, b: AngleValue) -> AngleValue:
 def _cos_interval_of_dir(r: IntVec, den: int) -> Interval:
     d, x = r
     n = d * d + x * x
-    csq = Fraction(d * d, n)
-    lo, hi = sqrt_down(csq, den), sqrt_up(csq, den)
-    if d >= 0:
-        return Interval(lo, hi)
-    return Interval(-hi, -lo)
+    c = sqrt_interval(Interval.point(Fraction(d * d, n)), den)
+    return c if d >= 0 else -c
 
 
 def _turn_enclosure(
@@ -445,7 +442,7 @@ class SqrtRational:
             raise DomainError("square must be positive")
 
     def bounds(self, den: int) -> Interval:
-        return Interval(sqrt_down(self.square, den), sqrt_up(self.square, den))
+        return sqrt_interval(Interval.point(self.square), den)
 
 
 AsinArg = Union[Fraction, int, SqrtRational]

@@ -3,6 +3,10 @@
 All endpoints are exact ``fractions.Fraction`` values; every operation is
 outward-safe (the result interval contains the exact image of the operand
 intervals), so chains of operations stay certified.
+
+Square roots are rounded to a grid 1/den, down for a lower end and up for an
+upper end.  A root comes back unrounded only where it is an exact rational
+off the grid (sqrt(9/25) = 3/5 at den 2^64): rounding it would widen a point.
 """
 
 from __future__ import annotations
@@ -15,6 +19,25 @@ from typing import Union
 from .errors import DomainError
 
 Rat = Union[Fraction, int]
+
+
+def _rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction, or a DomainError naming ``what`` it was to be."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise DomainError(f"{what} must be a rational, got {value!r}") from None
+
+
+def _text(x: Fraction) -> str:
+    """``str(x)``, or ``~2^e`` with 2^e <= |x| < 2^(e+1) where x has too many digits to print."""
+    try:
+        return str(x)
+    except ValueError:
+        p, q = abs(x.numerator), x.denominator
+        e = p.bit_length() - q.bit_length()
+        e -= (p << max(-e, 0)) < (q << max(e, 0))
+        return f"{'-' if x < 0 else ''}~2^{e}"
 
 
 @dataclass(frozen=True)
@@ -104,7 +127,7 @@ class Interval:
         return Interval(self.lo + offset, self.hi + offset)
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{_text(self.lo)}, {_text(self.hi)}]"
 
 
 def exact_sqrt(value: Rat) -> Fraction | None:
@@ -119,36 +142,54 @@ def exact_sqrt(value: Rat) -> Fraction | None:
     return None
 
 
-def sqrt_down(value: Rat, den: int) -> Fraction:
-    """Largest multiple of 1/den whose square does not exceed ``value``."""
-    value = Fraction(value)
+def _grid_root(value: Fraction, den: int) -> tuple[int, int, int]:
+    """(a, b, d): a/d and b/d are the floor and ceiling of sqrt(value) on the grid 1/den.
+
+    With value = p/q and p*den^2 = N*q + r, the floor is isqrt(N) and the
+    ceiling the floor plus one, unless r == 0 and N is a square: then the root
+    is isqrt(N)/den at both ends.  Only when r != 0 can the root be a rational
+    off the grid (sqrt(9/25) = 3/5 at den 2^64), which comes back unrounded.
+    """
     if value < 0:
         raise DomainError(value)
-    exact = exact_sqrt(value)
-    if exact is not None:
-        return exact
-    # m/den <= sqrt(p/q)  <=>  m^2 * q <= p * den^2
-    m = isqrt(value.numerator * den * den // value.denominator)
-    return Fraction(m, den)
+    p, q = value.numerator, value.denominator
+    n, r = divmod(p * den * den, q)
+    m = isqrt(n)
+    if r:
+        root = exact_sqrt(value)
+        if root is not None:
+            return root.numerator, root.numerator, root.denominator
+    elif m * m == n:
+        return m, m, den
+    return m, m + 1, den
+
+
+def sqrt_down(value: Rat, den: int) -> Fraction:
+    """Largest multiple of 1/den whose square does not exceed ``value``.
+
+    An exact root that is no multiple of 1/den comes back unrounded.
+    """
+    a, _, d = _grid_root(Fraction(value), den)
+    return Fraction(a, d)
 
 
 def sqrt_up(value: Rat, den: int) -> Fraction:
-    """Smallest multiple of 1/den whose square is at least ``value``."""
-    value = Fraction(value)
-    if value < 0:
-        raise DomainError(value)
-    exact = exact_sqrt(value)
-    if exact is not None:
-        return exact
-    target = -((-value.numerator * den * den) // value.denominator)  # ceil
-    m = isqrt(target)
-    if m * m < target:
-        m += 1
-    return Fraction(m, den)
+    """Smallest multiple of 1/den whose square is at least ``value``.
+
+    An exact root that is no multiple of 1/den comes back unrounded.
+    """
+    _, b, d = _grid_root(Fraction(value), den)
+    return Fraction(b, d)
 
 
 def sqrt_interval(iv: Interval, den: int) -> Interval:
-    """Outward-rounded square root of a non-negative interval."""
-    if iv.lo < 0:
-        raise DomainError(iv.lo)
-    return Interval(sqrt_down(iv.lo, den), sqrt_up(iv.hi, den))
+    """Outward-rounded square root of a non-negative interval.
+
+    A point takes both ends from one root.
+    """
+    if iv.lo == iv.hi:
+        a, b, d = _grid_root(iv.lo, den)
+        return Interval(Fraction(a, d), Fraction(b, d))
+    a, _, d = _grid_root(iv.lo, den)
+    _, b, e = _grid_root(iv.hi, den)
+    return Interval(Fraction(a, d), Fraction(b, e))

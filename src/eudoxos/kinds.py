@@ -43,7 +43,7 @@ from .errors import (
     NotGreaterError,
     ZeroMagnitudeError,
 )
-from .intervals import Rat, sqrt_interval, Interval, exact_sqrt
+from .intervals import Interval, Rat, _rational, _text, exact_sqrt, sqrt_interval
 
 
 class KindId(Enum):
@@ -281,15 +281,15 @@ def polygon_class(content: Rat) -> Magnitude:
 
 
 def segment_rational(value: Rat) -> Magnitude:
-    value = Fraction(value)
+    value = _rational(value, "segment length")
     if value <= 0:
         raise ZeroMagnitudeError("segment length must be positive")
-    return Magnitude(KindId.SEGMENTS, RealEnclosure.from_fraction(value, name=str(value)))
+    return Magnitude(KindId.SEGMENTS, RealEnclosure.from_fraction(value, name=_text(value)))
 
 
 def segment_sqrt(value: Rat) -> Magnitude:
     """Segment of length sqrt(value), e.g. the diagonal of a square."""
-    value = Fraction(value)
+    value = _rational(value, "segment length")
     if value <= 0:
         raise ZeroMagnitudeError("segment length must be positive")
     root = exact_sqrt(value)
@@ -303,7 +303,7 @@ def segment_sqrt(value: Rat) -> Magnitude:
     base = max(0, -((96 - shift) // 8))
     point = Interval.point(value)
     enc = RealEnclosure(
-        lambda d: sqrt_interval(point, 1 << (48 + 4 * max(d, base))), name=f"sqrt({value})"
+        lambda d: sqrt_interval(point, 1 << (48 + 4 * max(d, base))), name=f"sqrt({_text(value)})"
     )
     return Magnitude(KindId.SEGMENTS, enc)
 

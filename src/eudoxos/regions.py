@@ -27,7 +27,7 @@ from .errors import (
     NotDisjointError,
     ZeroMagnitudeError,
 )
-from .intervals import Interval
+from .intervals import Interval, _rational
 from .kinds import KindId, KindOps, Magnitude, magnitude_enclosure, register_kind
 from .polygons import Point, Polygon, content, parse_coordinate
 
@@ -57,10 +57,11 @@ class Sector:
     extent: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "center", (Fraction(self.center[0]), Fraction(self.center[1])))
-        object.__setattr__(self, "radius", Fraction(self.radius))
-        object.__setattr__(self, "start", Fraction(self.start) % 1)
-        object.__setattr__(self, "extent", Fraction(self.extent))
+        cx, cy = (_rational(self.center[i], "sector center") for i in (0, 1))
+        object.__setattr__(self, "center", (cx, cy))
+        object.__setattr__(self, "radius", _rational(self.radius, "sector radius"))
+        object.__setattr__(self, "start", _rational(self.start, "sector start") % 1)
+        object.__setattr__(self, "extent", _rational(self.extent, "sector extent"))
         if self.radius <= 0:
             raise DomainError("sector radius must be positive")
         if not (0 < self.extent <= 1):
@@ -101,13 +102,6 @@ class Arc:
             object.__setattr__(self, "turns", _rational(self.turns, "arc turns"))
             if self.turns <= 0:
                 raise EmptyArcError("arc extent must be positive")
-
-
-def _rational(value, what: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise DomainError(f"{what} must be a rational, got {value!r}") from None
 
 
 def arc_sup_b(c: Arc) -> RealEnclosure:

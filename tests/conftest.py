@@ -6,6 +6,7 @@ import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Optional, Sequence
 
 import pytest
@@ -33,13 +34,14 @@ from eudoxos.archimedes import (
 from eudoxos.errors import (
     CollinearError,
     DegeneratePolygonError,
+    DomainError,
     DuplicatePointError,
     IndistinguishableError,
     NotGreaterError,
     NoWitnessError,
     SelfIntersectionError,
 )
-from eudoxos.intervals import Interval, exact_sqrt, sqrt_interval
+from eudoxos.intervals import Interval, Rat, exact_sqrt, sqrt_interval
 from eudoxos.kinds import DEFAULT_RESOLUTION, Comparison, KindId, Resolution, compare, kmul
 from eudoxos.polygons import as_magnitude, point, segments_intersect
 from eudoxos.ratios import CutSide, Ratio, exact_value, value_enclosure
@@ -148,6 +150,51 @@ def riemann_asin(x, d: int) -> Interval:
     return Interval(
         Fraction(lo_sum, den) * x_iv.lo / cells, Fraction(hi_sum, den) * x_iv.hi / cells
     )
+
+
+# -- the directed square roots with the exact-root test first -----------------------
+# Reference for ``intervals.sqrt_down``/``sqrt_up``: kept verbatim as they were
+# before one integer step took both ends, when the rational exact-root test ran
+# before every rounding.
+
+def reference_exact_sqrt(value: Rat) -> Fraction | None:
+    """Return the exact rational square root of ``value`` if one exists."""
+    value = Fraction(value)
+    if value < 0:
+        raise DomainError(value)
+    p, q = value.numerator, value.denominator
+    rp, rq = isqrt(p), isqrt(q)
+    if rp * rp == p and rq * rq == q:
+        return Fraction(rp, rq)
+    return None
+
+
+def reference_sqrt_down(value: Rat, den: int) -> Fraction:
+    """Largest multiple of 1/den whose square does not exceed ``value``."""
+    value = Fraction(value)
+    if value < 0:
+        raise DomainError(value)
+    exact = reference_exact_sqrt(value)
+    if exact is not None:
+        return exact
+    # m/den <= sqrt(p/q)  <=>  m^2 * q <= p * den^2
+    m = isqrt(value.numerator * den * den // value.denominator)
+    return Fraction(m, den)
+
+
+def reference_sqrt_up(value: Rat, den: int) -> Fraction:
+    """Smallest multiple of 1/den whose square is at least ``value``."""
+    value = Fraction(value)
+    if value < 0:
+        raise DomainError(value)
+    exact = reference_exact_sqrt(value)
+    if exact is not None:
+        return exact
+    target = -((-value.numerator * den * den) // value.denominator)  # ceil
+    m = isqrt(target)
+    if m * m < target:
+        m += 1
+    return Fraction(m, den)
 
 
 # -- the two mirrored sine bisections ----------------------------------------------

@@ -1,12 +1,13 @@
 """Interval arithmetic and directed-rounded square roots."""
 
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bisect_root
+from conftest import bisect_root, reference_sqrt_down, reference_sqrt_up
 from eudoxos.errors import DomainError
 from eudoxos.intervals import (
     Interval,
@@ -72,6 +73,81 @@ def test_sqrt_interval_monotone_in_den():
     assert wide.encloses(tight)
     lo, hi = bisect_root(Fraction(2), 12)
     assert tight.lo <= hi and lo <= tight.hi
+
+
+def _dyadic(rng):
+    return Fraction(rng.getrandbits(rng.randint(1, 200)), 1 << rng.randint(0, 200))
+
+
+def _rational(rng):
+    return Fraction(rng.getrandbits(rng.randint(1, 160)), rng.getrandbits(rng.randint(1, 160)) or 1)
+
+
+_FAMILIES = {
+    "dyadic": _dyadic,
+    "rational": _rational,
+    "dyadic square": lambda rng: _dyadic(rng) ** 2,
+    "rational square": lambda rng: _rational(rng) ** 2,
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_roots_match_the_exact_root_test_first(family):
+    # 50 000 seeded (value, den) pairs per family, den from 2^0 to 2^300:
+    # both ends equal the reference's, where the exact-root test ran first;
+    # the two one-ended faces are checked on every fourth pair
+    rng = random.Random(f"sqrt {family}")
+    draw = _FAMILIES[family]
+    for i in range(50_000):
+        value, den = draw(rng), 1 << rng.randint(0, 300)
+        lo, hi = reference_sqrt_down(value, den), reference_sqrt_up(value, den)
+        iv = sqrt_interval(Interval.point(value), den)
+        assert (iv.lo, iv.hi) == (lo, hi), (value, den)
+        if i % 4 == 0:
+            assert (sqrt_down(value, den), sqrt_up(value, den)) == (lo, hi), (value, den)
+
+
+def test_an_interval_takes_its_ends_from_its_ends():
+    rng = random.Random(11)
+    for _ in range(2_000):
+        a, b = sorted((_rational(rng), _rational(rng)))
+        den = 1 << rng.randint(0, 300)
+        expected = Interval(reference_sqrt_down(a, den), reference_sqrt_up(b, den))
+        assert sqrt_interval(Interval(a, b), den) == expected
+
+
+@pytest.mark.parametrize("bits", [0, 64, 300])
+def test_an_exact_root_off_the_grid_comes_back_unrounded(bits):
+    value, den = Fraction(9, 25), 1 << bits
+    assert sqrt_down(value, den) == Fraction(3, 5) == sqrt_up(value, den)
+    assert sqrt_interval(Interval.point(value), den) == Interval.point(Fraction(3, 5))
+
+
+@pytest.mark.parametrize("bits", [0, 64])
+def test_the_root_of_zero_is_zero(bits):
+    den = 1 << bits
+    assert sqrt_down(0, den) == 0 == sqrt_up(0, den)
+    assert sqrt_interval(Interval.point(0), den) == Interval.point(0)
+
+
+@pytest.mark.parametrize("root", [sqrt_down, sqrt_up, reference_sqrt_down, reference_sqrt_up])
+def test_a_negative_value_is_refused_with_its_payload(root):
+    with pytest.raises(DomainError) as info:
+        root(Fraction(-9, 25), 1 << 64)
+    assert info.value.args == (Fraction(-9, 25),)
+
+
+def test_a_negative_interval_is_refused_at_its_lower_end():
+    for iv in (Interval.point(Fraction(-1, 3)), Interval(Fraction(-1, 3), Fraction(4))):
+        with pytest.raises(DomainError) as info:
+            sqrt_interval(iv, 1 << 64)
+        assert info.value.args == (Fraction(-1, 3),)
+
+
+def test_an_end_with_too_many_digits_prints_its_binary_magnitude():
+    tiny = Fraction(3, 2**20000)  # 2^20000 has more digits than int -> str allows
+    assert str(Interval(-tiny, tiny)) == "[-~2^-19999, ~2^-19999]"
+    assert str(Interval(Fraction(1, 3), 2)) == "[1/3, 2]"
 
 
 def test_scale_and_shift():

@@ -131,6 +131,20 @@ def test_a_small_root_is_positive_at_depth_0():
     assert E.magnitude_enclosure(t).at(0).lo > 0
 
 
+@pytest.mark.parametrize("make", [E.segment_rational, E.segment_sqrt])
+def test_a_value_with_too_many_digits_to_print_names_its_segment(make):
+    # 2^100001 has more digits than int -> str allows: the name and the repr
+    # give the value's binary magnitude instead
+    value = Fraction(1, 2**100001)
+    iv = E.magnitude_enclosure(make(value)).at(0)
+    root = make is E.segment_sqrt
+    square = iv.lo * iv.lo if root else iv.lo
+    assert 0 < square <= value <= (iv.hi * iv.hi if root else iv.hi)
+    text = repr(make(value))
+    assert "2^-100001" in text
+    assert text.startswith("Magnitude(segments, <RealEnclosure ")
+
+
 def test_a_product_with_a_small_root_inverts():
     t = E.ratio(E.segment_sqrt(Fraction(1, 2**201)), E.segment_rational(1))
     root2 = E.ratio(E.segment_sqrt(2), E.segment_rational(1))
