@@ -25,7 +25,7 @@ from .errors import (
     SelfIntersectionError,
     ZeroMagnitudeError,
 )
-from .intervals import Interval, sqrt_down, sqrt_up, sqrt_interval, exact_sqrt
+from .intervals import Interval, sqrt_interval, exact_sqrt
 from .enclosures import RealEnclosure
 from .kinds import (
     Comparison,

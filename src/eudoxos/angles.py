@@ -219,13 +219,13 @@ def _cos_interval_of_dir(r: IntVec, den: int) -> Interval:
 
 
 def _turn_enclosure(
-    pi_multiple: Rat, direction: Optional[IntVec], bounds, r: Rat = 1, *, name: str
+    pi_multiple: Rat, direction: Optional[IntVec], bounds, *, name: str
 ) -> RealEnclosure:
-    """pi_multiple * pi plus the chord/tangent ``bounds`` of a direction on radius r.
+    """pi_multiple * pi plus the chord/tangent ``bounds`` of a direction on the unit circle.
 
-    ``bounds`` is arc_length_bounds (a half-turn of arc is pi*r) or
-    sector_area_bounds (a half-turn of sector is pi*r^2/2); a missing
-    direction (whole turns only) contributes nothing.
+    ``bounds`` is arc_length_bounds (a half-turn of arc is pi) or
+    sector_area_bounds (a half-turn of sector is pi/2); a missing direction
+    (whole turns only) contributes nothing.
 
     The direction has one halving chain, rebuilt as a query outgrows its cap
     under the rule of ``capped_chain``, the one that also serves pi.
@@ -240,7 +240,7 @@ def _turn_enclosure(
         _, current = chain = capped_chain(
             chain, depth, lambda den: _cos_interval_of_dir(direction, den)
         )
-        return total + bounds(current, r, depth)
+        return total + bounds(current, depth)
 
     return RealEnclosure(refine, name=name)
 
@@ -406,24 +406,17 @@ def is_acute(a: Angle) -> bool:
 
 
 def sin_geometric(a: Angle) -> RealEnclosure:
-    """Opposite-over-hypotenuse enclosure via the exact perpendicular foot."""
+    """Opposite over hypotenuse, x/sqrt(d^2 + x^2) for the direction (d, x):
+    the ratio the perpendicular foot gives, by Lagrange's identity."""
     if not is_acute(a):
         raise NotAcuteError("geometric sine requires an acute angle")
-    b = a.vertex
-    u, w = a.arm1, a.arm2
-    p = (b[0] + u[0], b[1] + u[1])  # a point on the first arm
-    wd = Fraction(w[0] * w[0] + w[1] * w[1])
-    t = Fraction(u[0] * w[0] + u[1] * w[1]) / wd
-    foot = (b[0] + t * w[0], b[1] + t * w[1])
-    opp_sq = (p[0] - foot[0]) ** 2 + (p[1] - foot[1]) ** 2
-    hyp_sq = (p[0] - b[0]) ** 2 + (p[1] - b[1]) ** 2
-    ratio_sq = opp_sq / hyp_sq
-    root = exact_sqrt(ratio_sq)
+    d, x = a.direction()
+    root = exact_sqrt(Fraction(x * x, d * d + x * x))
     if root is not None:
         return RealEnclosure.from_fraction(root, name="Sin")
-    pointed = Interval.point(ratio_sq)
+    # sin t = cos(pi/2 - t), and pi/2 - t has the direction (x, d)
     return RealEnclosure(
-        lambda d: sqrt_interval(pointed, precision_denominator(d)), name="Sin"
+        lambda dep: _cos_interval_of_dir((x, d), precision_denominator(dep)), name="Sin"
     )
 
 
@@ -518,11 +511,13 @@ _ASIN_MEMO: dict[Fraction, RealEnclosure] = {}
 
 
 def _asin_at(x: Fraction) -> RealEnclosure:
-    if x not in _ASIN_MEMO:
+    # returned from a local: another thread may clear the memo after the store
+    enc = _ASIN_MEMO.get(x)
+    if enc is None:
         if len(_ASIN_MEMO) > 4096:
             _ASIN_MEMO.clear()
-        _ASIN_MEMO[x] = asin_integral(x)
-    return _ASIN_MEMO[x]
+        enc = _ASIN_MEMO[x] = asin_integral(x)
+    return enc
 
 
 def _sin_bisect(below: Callable[[Interval], bool], dep: int) -> tuple[Fraction, Fraction]:
@@ -552,31 +547,6 @@ def _sin_core(iv: Interval, dep: int) -> Interval:
     return Interval(lower, upper)
 
 
-def _sin_point(y: Interval, dep: int) -> Interval:
-    """sin over a narrow interval already reduced into [0 - eps, 2pi + eps]."""
-    pi_iv = pi_interval(dep + 2)
-    half = pi_iv.scale(Fraction(1, 2))
-    one_and_half = pi_iv.scale(Fraction(3, 2))
-    two = pi_iv.scale(2)
-    candidates: list[Interval] = []
-    # Quadrant formulas; evaluate every quadrant the interval may touch.
-    if y.lo <= half.hi:  # [0, pi/2]
-        candidates.append(_sin_core(Interval(y.lo, min(y.hi, half.hi)), dep))
-    if y.hi >= half.lo and y.lo <= pi_iv.hi:  # [pi/2, pi]
-        clip = Interval(max(y.lo, half.lo), min(y.hi, pi_iv.hi))
-        candidates.append(_sin_core(pi_iv - clip, dep))
-    if y.hi >= pi_iv.lo and y.lo <= one_and_half.hi:  # [pi, 3pi/2]
-        clip = Interval(max(y.lo, pi_iv.lo), min(y.hi, one_and_half.hi))
-        candidates.append(-_sin_core(clip - pi_iv, dep))
-    if y.hi >= one_and_half.lo:  # [3pi/2, 2pi+]
-        clip = Interval(max(y.lo, one_and_half.lo), y.hi)
-        candidates.append(-_sin_core(two - clip, dep))
-    out = candidates[0]
-    for c in candidates[1:]:
-        out = out.hull(c)
-    return out
-
-
 def _sin_eval(iv: Interval, dep: int) -> Interval:
     if iv.hi <= 0:
         return -_sin_eval(-iv, dep) if iv.lo < 0 else Interval.point(0)
@@ -599,7 +569,25 @@ def _sin_eval(iv: Interval, dep: int) -> Interval:
     y = iv - two_pi.scale(k)
     if y.lo < -pi_iv.lo / 2 or y.hi > two_pi.hi + pi_iv.hi / 2:
         return Interval(Fraction(-1), Fraction(1))
-    return _sin_point(y, dep)
+    half = pi_iv.scale(Fraction(1, 2))
+    one_and_half = pi_iv.scale(Fraction(3, 2))
+    candidates: list[Interval] = []
+    # Quadrant formulas; evaluate every quadrant y may touch.
+    if y.lo <= half.hi:  # [0, pi/2]
+        candidates.append(_sin_core(Interval(y.lo, min(y.hi, half.hi)), dep))
+    if y.hi >= half.lo and y.lo <= pi_iv.hi:  # [pi/2, pi]
+        clip = Interval(max(y.lo, half.lo), min(y.hi, pi_iv.hi))
+        candidates.append(_sin_core(pi_iv - clip, dep))
+    if y.hi >= pi_iv.lo and y.lo <= one_and_half.hi:  # [pi, 3pi/2]
+        clip = Interval(max(y.lo, pi_iv.lo), min(y.hi, one_and_half.hi))
+        candidates.append(-_sin_core(clip - pi_iv, dep))
+    if y.hi >= one_and_half.lo:  # [3pi/2, 2pi+]
+        clip = Interval(max(y.lo, one_and_half.lo), y.hi)
+        candidates.append(-_sin_core(two_pi - clip, dep))
+    out = candidates[0]
+    for c in candidates[1:]:
+        out = out.hull(c)
+    return out
 
 
 SinArg = Union[Fraction, int, RealEnclosure, AngleMeasure]

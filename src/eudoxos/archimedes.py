@@ -180,36 +180,30 @@ def inscribed_outer_bounds(
         raise DomainError("doubling depth must be non-negative")
     sides = 6 * (1 << n)
     _, chain = _pi_chain = capped_chain(_pi_chain, n, lambda den: Interval.point(_HALF))
+    perimeter = arc_length_bounds(chain, n).scale(6 * r)  # six arcs of pi/3
     s, c = chain.sincos(n + 1)
-    tan_hi = s.hi / c.lo
-    perimeter_lo = 2 * sides * r * s.lo
-    perimeter_hi = 2 * sides * r * tan_hi
     area_lo = sides * r * r * s.lo * c.lo
-    area_hi = sides * r * r * tan_hi
-    return perimeter_lo, perimeter_hi, area_lo, area_hi
+    area_hi = sides * r * r * (s.hi / c.lo)
+    return perimeter.lo, perimeter.hi, area_lo, area_hi
 
 
-def arc_length_bounds(chain: HalvingChain, r: Rat, depth: int) -> Interval:
-    """Bounds for r*t, where ``chain`` halves t in (0, pi).
+def arc_length_bounds(chain: HalvingChain, depth: int) -> Interval:
+    """Bounds for the unit-circle arc t, where ``chain`` halves t in (0, pi).
 
     Lower: inscribed chord sum with 2^depth equal chords.  Upper: the
-    circumscribed tangent sum.  Both converge to the arc length r*t.
+    circumscribed tangent sum.  Both converge to the arc length t.
     """
-    r = Fraction(r)
     s, c = chain.sincos(depth + 1)
-    chords = (1 << (depth + 1)) * r
+    chords = 1 << (depth + 1)
     return Interval(chords * s.lo, chords * (s.hi / c.lo))
 
 
-def sector_area_bounds(chain: HalvingChain, r: Rat, depth: int) -> Interval:
-    """Bounds for the sector content (t/2)*r^2, where ``chain`` halves t in (0, pi).
+def sector_area_bounds(chain: HalvingChain, depth: int) -> Interval:
+    """Bounds for the unit-circle sector content t/2, where ``chain`` halves t in (0, pi).
 
     Lower: inscribed fan of 2^depth isoceles triangles.  Upper: circumscribed
     fan of tangent kites.
     """
-    r = Fraction(r)
     s_j, _ = chain.sincos(depth)
     s_j1, c_j1 = chain.sincos(depth + 1)
-    lo = Fraction(1 << depth, 2) * r * r * s_j.lo
-    hi = (1 << depth) * r * r * (s_j1.hi / c_j1.lo)
-    return Interval(lo, hi)
+    return Interval(Fraction(1 << depth, 2) * s_j.lo, (1 << depth) * (s_j1.hi / c_j1.lo))

@@ -40,6 +40,16 @@ def _text(x: Fraction) -> str:
         return f"{'-' if x < 0 else ''}~2^{e}"
 
 
+def _repr(x) -> str:
+    """``repr(x)``, or ``_text(x)`` for a rational with too many digits to print."""
+    try:
+        return repr(x)
+    except ValueError:
+        if isinstance(x, (int, Fraction)):
+            return _text(x)
+        raise
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: Fraction
@@ -126,6 +136,9 @@ class Interval:
             offset = Fraction(offset)
         return Interval(self.lo + offset, self.hi + offset)
 
+    def __repr__(self) -> str:
+        return f"Interval(lo={_repr(self.lo)}, hi={_repr(self.hi)})"
+
     def __str__(self) -> str:
         return f"[{_text(self.lo)}, {_text(self.hi)}]"
 
@@ -162,24 +175,6 @@ def _grid_root(value: Fraction, den: int) -> tuple[int, int, int]:
     elif m * m == n:
         return m, m, den
     return m, m + 1, den
-
-
-def sqrt_down(value: Rat, den: int) -> Fraction:
-    """Largest multiple of 1/den whose square does not exceed ``value``.
-
-    An exact root that is no multiple of 1/den comes back unrounded.
-    """
-    a, _, d = _grid_root(Fraction(value), den)
-    return Fraction(a, d)
-
-
-def sqrt_up(value: Rat, den: int) -> Fraction:
-    """Smallest multiple of 1/den whose square is at least ``value``.
-
-    An exact root that is no multiple of 1/den comes back unrounded.
-    """
-    _, b, d = _grid_root(Fraction(value), den)
-    return Fraction(b, d)
 
 
 def sqrt_interval(iv: Interval, den: int) -> Interval:

@@ -43,7 +43,7 @@ from .errors import (
     NotGreaterError,
     ZeroMagnitudeError,
 )
-from .intervals import Interval, Rat, _rational, _text, exact_sqrt, sqrt_interval
+from .intervals import Interval, Rat, _rational, _repr, _text, exact_sqrt, sqrt_interval
 
 
 class KindId(Enum):
@@ -97,7 +97,7 @@ class Magnitude:
     payload: Any
 
     def __repr__(self) -> str:
-        return f"Magnitude({self.kind.value}, {self.payload!r})"
+        return f"Magnitude({self.kind.value}, {_repr(self.payload)})"
 
 
 class KindOps:

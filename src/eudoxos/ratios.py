@@ -16,6 +16,7 @@ base-2 positional measurement.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -415,6 +416,15 @@ def _re(r: Ratio) -> RealEnclosure:
     return value_enclosure(r) or to_real(r)
 
 
+def _combine(r1: Ratio, r2: Ratio, op) -> Ratio:
+    """op of two ratio values: a ratio of naturals when both are rational,
+    else the segment whose enclosure is op of theirs, against the unit segment."""
+    v1, v2 = exact_value(r1), exact_value(r2)
+    if v1 is not None and v2 is not None:
+        return rational_ratio(op(v1, v2))
+    return Ratio(segment_from_enclosure(op(_re(r1), _re(r2))), segment_rational(1))
+
+
 def add_ratio(r1: Ratio, r2: Ratio) -> Ratio:
     """Sum via common-denominator representatives over the segment kind.
 
@@ -422,20 +432,12 @@ def add_ratio(r1: Ratio, r2: Ratio) -> Ratio:
     naturals); all others are re-expressed as u:w, v:w with w the unit
     segment, giving (u+v):w.
     """
-    v1, v2 = exact_value(r1), exact_value(r2)
-    if v1 is not None and v2 is not None:
-        return rational_ratio(v1 + v2)
-    e = _re(r1) + _re(r2)
-    return Ratio(segment_from_enclosure(e), segment_rational(1))
+    return _combine(r1, r2, operator.add)
 
 
 def mul_ratio(r1: Ratio, r2: Ratio) -> Ratio:
     """Product via the chained representation u:w, w:v -> u:v."""
-    v1, v2 = exact_value(r1), exact_value(r2)
-    if v1 is not None and v2 is not None:
-        return rational_ratio(v1 * v2)
-    e = _re(r1) * _re(r2)
-    return Ratio(segment_from_enclosure(e), segment_rational(1))
+    return _combine(r1, r2, operator.mul)
 
 
 def to_real(r: Ratio) -> RealEnclosure:
@@ -510,38 +512,25 @@ def proposition_suite(
     non-Archimedean counterexamples on the lexicographic pairs."""
     clauses: list[ClauseResult] = []
 
-    # Clause (i) on naturals: eq_E and eq_L agree on sampled ratio pairs.
+    # Clause (i): eq_E and eq_L agree on sampled ratio pairs of naturals, and
+    # of segments with irrational values.
     nat_pairs = [(3, 2), (6, 4), (2, 1), (5, 3), (7, 7), (1, 3), (4, 6), (9, 12), (11, 5)]
-    agree = True
-    for (a, b) in nat_pairs:
-        for (c, d) in nat_pairs:
-            r1 = Ratio(naturals(a), naturals(b))
-            r2 = Ratio(naturals(c), naturals(d))
-            ve = eq_E(r1, r2, bound, res)
-            vl = eq_L(r1, r2, bound, res)
-            if ve.outcome is not vl.outcome:
-                agree = False
-    clauses.append(
-        ClauseResult("(i) naturals", agree, f"eq_E == eq_L on {len(nat_pairs)}^2 ratio pairs")
-    )
-
-    # Clause (i) on segments: samples with irrational values.
     seg_samples = [
         (kinds.segment_sqrt(2), kinds.segment_rational(1)),
         (kinds.segment_sqrt(3), kinds.segment_sqrt(2)),
         (kinds.segment_rational(Fraction(3, 2)), kinds.segment_rational(1)),
     ]
-    agree = True
-    for (n1, d1) in seg_samples:
-        for (n2, d2) in seg_samples:
-            r1, r2 = Ratio(n1, d1), Ratio(n2, d2)
-            ve = eq_E(r1, r2, bound, res)
-            vl = eq_L(r1, r2, bound, res)
-            if ve.outcome is not vl.outcome:
-                agree = False
-    clauses.append(
-        ClauseResult("(i) segments", agree, f"eq_E == eq_L on {len(seg_samples)}^2 ratio pairs")
-    )
+    nat_samples = [(naturals(a), naturals(b)) for (a, b) in nat_pairs]
+    for label, samples in (("naturals", nat_samples), ("segments", seg_samples)):
+        agree = True
+        for p1 in samples:
+            for p2 in samples:
+                r1, r2 = Ratio(*p1), Ratio(*p2)
+                if eq_E(r1, r2, bound, res).outcome is not eq_L(r1, r2, bound, res).outcome:
+                    agree = False
+        clauses.append(
+            ClauseResult(f"(i) {label}", agree, f"eq_E == eq_L on {len(samples)}^2 ratio pairs")
+        )
 
     # Clause (iii) on naturals: eq_E(<x,z>, <y,z>) implies x = y; exhaustive.
     cancel = True

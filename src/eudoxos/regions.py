@@ -57,7 +57,11 @@ class Sector:
     extent: Fraction
 
     def __post_init__(self):
-        cx, cy = (_rational(self.center[i], "sector center") for i in (0, 1))
+        try:
+            cx, cy = self.center
+        except (TypeError, ValueError):
+            raise DomainError(f"sector center must be two rationals, got {self.center!r}") from None
+        cx, cy = _rational(cx, "sector center"), _rational(cy, "sector center")
         object.__setattr__(self, "center", (cx, cy))
         object.__setattr__(self, "radius", _rational(self.radius, "sector radius"))
         object.__setattr__(self, "start", _rational(self.start, "sector start") % 1)
@@ -111,7 +115,9 @@ def arc_sup_b(c: Arc) -> RealEnclosure:
         turns, direction = c.turns, None
     else:
         turns, direction = c.angle.windings, c.angle.direction()
-    return _turn_enclosure(2 * c.radius * turns, direction, arc_length_bounds, c.radius, name="arc")
+    # on the unit circle, then scaled: a positive factor commutes with the
+    # nesting's intersection and hull, so every depth is r times the unit arc
+    return _turn_enclosure(2 * turns, direction, arc_length_bounds, name="arc").scale(c.radius)
 
 
 RegionPart = Union[Polygon, Sector]
@@ -396,18 +402,16 @@ def xii2_verify(r1, r2, depth: int = 10, search_bound: int = 100) -> Xii2Record:
         raise DomainError("radii must be positive")
     s1, s2 = 4 * r1 * r1, 4 * r2 * r2  # squares on the diameters
     target = s1 / s2
+    if depth < 0:
+        raise DomainError("depth must be non-negative")
     contains = True
-    for d in range(depth + 1):
+    for d in range(depth + 1):  # the last pass leaves c1, c2 and ratio_iv at depth
         pi_iv = pi_interval(d)
         c1 = pi_iv.scale(r1 * r1)
         c2 = pi_iv.scale(r2 * r2)
         ratio_iv = c1 / c2
         if not ratio_iv.contains(target):
             contains = False
-    final_pi = pi_interval(depth)
-    c1 = final_pi.scale(r1 * r1)
-    c2 = final_pi.scale(r2 * r2)
-    ratio_iv = c1 / c2
 
     # Trichotomy of n1*c2 vs n2*c1: the exact route compares n1*r2^2 with
     # n2*r1^2 (similar inscribed/circumscribed polygons scale exactly, the
@@ -419,7 +423,7 @@ def xii2_verify(r1, r2, depth: int = 10, search_bound: int = 100) -> Xii2Record:
     #   sep_lt: n1*c2.hi < n2*c1.lo  iff  n2*hq > n1*hp,  hp/hq = c2.hi/c1.lo.
     # The witness runs of (i) and (ii) are empty while lo <= hi (a witness
     # would need pi's enclosure inverted), but are computed all the same.
-    e, g, h = (r2 * r2) / (r1 * r1), c2.lo / c1.hi, c2.hi / c1.lo
+    e, g, h = 1 / target, c2.lo / c1.hi, c2.hi / c1.lo
     ep, eq = e.numerator, e.denominator
     gp, gq = g.numerator, g.denominator
     hp, hq = h.numerator, h.denominator

@@ -23,6 +23,7 @@ from eudoxos.angles import (
     _dir_reduce,
     _point,
     _value_compare,
+    is_acute,
 )
 from eudoxos.archimedes import (
     PiEnclosure,
@@ -37,6 +38,7 @@ from eudoxos.errors import (
     DomainError,
     DuplicatePointError,
     IndistinguishableError,
+    NotAcuteError,
     NotGreaterError,
     NoWitnessError,
     SelfIntersectionError,
@@ -153,9 +155,9 @@ def riemann_asin(x, d: int) -> Interval:
 
 
 # -- the directed square roots with the exact-root test first -----------------------
-# Reference for ``intervals.sqrt_down``/``sqrt_up``: kept verbatim as they were
-# before one integer step took both ends, when the rational exact-root test ran
-# before every rounding.
+# Reference for the two ends of ``intervals.sqrt_interval`` of a point: the
+# one-ended roots kept verbatim as they were before one integer step took both
+# ends, when the rational exact-root test ran before every rounding.
 
 def reference_exact_sqrt(value: Rat) -> Fraction | None:
     """Return the exact rational square root of ``value`` if one exists."""
@@ -195,6 +197,33 @@ def reference_sqrt_up(value: Rat, den: int) -> Fraction:
     if m * m < target:
         m += 1
     return Fraction(m, den)
+
+
+# -- the geometric sine by the perpendicular foot -----------------------------------
+# Reference for ``angles.sin_geometric``, kept verbatim as it was before the
+# squared sine was read off the angle's direction: both must give the same
+# exact value and the same interval at every depth.
+
+def foot_sin_geometric(a: E.Angle) -> E.RealEnclosure:
+    """Opposite-over-hypotenuse enclosure via the exact perpendicular foot."""
+    if not is_acute(a):
+        raise NotAcuteError("geometric sine requires an acute angle")
+    b = a.vertex
+    u, w = a.arm1, a.arm2
+    p = (b[0] + u[0], b[1] + u[1])  # a point on the first arm
+    wd = Fraction(w[0] * w[0] + w[1] * w[1])
+    t = Fraction(u[0] * w[0] + u[1] * w[1]) / wd
+    foot = (b[0] + t * w[0], b[1] + t * w[1])
+    opp_sq = (p[0] - foot[0]) ** 2 + (p[1] - foot[1]) ** 2
+    hyp_sq = (p[0] - b[0]) ** 2 + (p[1] - b[1]) ** 2
+    ratio_sq = opp_sq / hyp_sq
+    root = exact_sqrt(ratio_sq)
+    if root is not None:
+        return E.RealEnclosure.from_fraction(root, name="Sin")
+    pointed = Interval.point(ratio_sq)
+    return E.RealEnclosure(
+        lambda d: sqrt_interval(pointed, precision_denominator(d)), name="Sin"
+    )
 
 
 # -- the two mirrored sine bisections ----------------------------------------------

@@ -78,7 +78,7 @@ def test_exhaustion_rate():
         for depth in range(40):
             den = precision_denominator(depth)
             chain = HalvingChain(_cos_interval_of_dir(direction, den), den)
-            iv = sector_area_bounds(chain, 1, depth)
+            iv = sector_area_bounds(chain, depth)
             if iv.width < target:
                 break
         else:
@@ -86,7 +86,7 @@ def test_exhaustion_rate():
         for depth in range(40):
             den = precision_denominator(depth)
             chain = HalvingChain(_cos_interval_of_dir(direction, den), den)
-            iv = arc_length_bounds(chain, 1, depth)
+            iv = arc_length_bounds(chain, depth)
             if iv.width < target:
                 break
         else:

@@ -43,11 +43,15 @@ def _ratio():
     pytest.param(lambda: E.Arc(1, turns="x"), id="arc turns"),
     pytest.param(lambda: E.Arc("x", turns=1), id="arc radius of no number"),
     pytest.param(lambda: E.Sector((0, 0), "x", 0, 1), id="sector radius of no number"),
+    pytest.param(lambda: E.Sector(None, 1, 0, 1), id="sector center of no pair"),
+    pytest.param(lambda: E.Sector((0,), 1, 0, 1), id="sector center of one number"),
+    pytest.param(lambda: E.Sector((0, 0, 7), 1, 0, 1), id="sector center of three numbers"),
     pytest.param(lambda: E.disk((0, 0), None), id="disk radius of no number"),
     pytest.param(lambda: E.segment_rational("x"), id="segment length of no number"),
     pytest.param(lambda: E.segment_sqrt("x"), id="segment square of no number"),
     pytest.param(lambda: E.Region([E.unit_square(), (0, 0)]), id="region part"),
     pytest.param(lambda: E.xii2_verify(0, 1), id="xii2 radii"),
+    pytest.param(lambda: E.xii2_verify(1, 2, depth=-1), id="xii2 depth"),
     pytest.param(lambda: E.parse_region("sector: 0,0,1"), id="sector line"),
     pytest.param(lambda: E.parse_region("circle: 1"), id="region generator"),
 ])

@@ -7,20 +7,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import eudoxos as E
 from conftest import bisect_root, reference_sqrt_down, reference_sqrt_up
 from eudoxos.errors import DomainError
-from eudoxos.intervals import (
-    Interval,
-    exact_sqrt,
-    sqrt_down,
-    sqrt_interval,
-    sqrt_up,
-)
+from eudoxos.intervals import Interval, exact_sqrt, sqrt_interval
 
 fractions = st.fractions(min_value=Fraction(0), max_value=Fraction(10**6))
 positive_fractions = st.fractions(
     min_value=Fraction(1, 10**6), max_value=Fraction(10**6)
 )
+
+
+# The lower and the upper end of the root of a point, named as the
+# one-ended roots the tests below check.
+def sqrt_down(value, den):
+    return sqrt_interval(Interval.point(value), den).lo
+
+
+def sqrt_up(value, den):
+    return sqrt_interval(Interval.point(value), den).hi
 
 
 def test_point_and_width():
@@ -94,17 +99,14 @@ _FAMILIES = {
 @pytest.mark.parametrize("family", list(_FAMILIES))
 def test_roots_match_the_exact_root_test_first(family):
     # 50 000 seeded (value, den) pairs per family, den from 2^0 to 2^300:
-    # both ends equal the reference's, where the exact-root test ran first;
-    # the two one-ended faces are checked on every fourth pair
+    # both ends equal the reference's, where the exact-root test ran first
     rng = random.Random(f"sqrt {family}")
     draw = _FAMILIES[family]
-    for i in range(50_000):
+    for _ in range(50_000):
         value, den = draw(rng), 1 << rng.randint(0, 300)
         lo, hi = reference_sqrt_down(value, den), reference_sqrt_up(value, den)
         iv = sqrt_interval(Interval.point(value), den)
         assert (iv.lo, iv.hi) == (lo, hi), (value, den)
-        if i % 4 == 0:
-            assert (sqrt_down(value, den), sqrt_up(value, den)) == (lo, hi), (value, den)
 
 
 def test_an_interval_takes_its_ends_from_its_ends():
@@ -148,6 +150,14 @@ def test_an_end_with_too_many_digits_prints_its_binary_magnitude():
     tiny = Fraction(3, 2**20000)  # 2^20000 has more digits than int -> str allows
     assert str(Interval(-tiny, tiny)) == "[-~2^-19999, ~2^-19999]"
     assert str(Interval(Fraction(1, 3), 2)) == "[1/3, 2]"
+
+
+def test_repr_prints_an_end_with_too_many_digits_by_its_binary_magnitude():
+    tiny = Fraction(1, 2**100001)  # 2^100001 has more digits than int -> str allows
+    iv = E.magnitude_enclosure(E.segment_rational(tiny)).at(0)
+    assert repr(iv) == "Interval(lo=~2^-100001, hi=~2^-100001)"
+    # every other end prints as the dataclass repr did
+    assert repr(Interval(Fraction(-1, 3), 2)) == "Interval(lo=Fraction(-1, 3), hi=Fraction(2, 1))"
 
 
 def test_scale_and_shift():

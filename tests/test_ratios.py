@@ -279,6 +279,13 @@ class TestToReal:
         assert E.to_real(p).at(d).intersects(prod_iv)
 
 
+def test_repr_of_a_ratio_with_too_many_digits_to_print():
+    # 2^100001 has more digits than int -> str allows: its binary magnitude prints
+    r = E.rational_ratio(Fraction(1, 2**100001))
+    assert repr(r) == "Ratio(Magnitude(naturals, 1) : Magnitude(naturals, ~2^100001))"
+    assert repr(E.rational_ratio(Fraction(3, 7))) == "Ratio(Magnitude(naturals, 3) : Magnitude(naturals, 7))"
+
+
 def test_proposition_suite_passes():
     report = E.proposition_suite(30)
     assert report.passed, "\n".join(report.lines())
